@@ -1,0 +1,282 @@
+// Digest pins: the exact outputs of representative session and world
+// runs, recorded as constants. Any refactor of the RAN, session or world
+// stack must keep every value byte-identical. A deliberate behaviour
+// change re-baselines the constants once, with a written justification.
+//
+// Each session case pins four witnesses: the StateDigest of the
+// correlator input (every capture and telemetry record), a digest of the
+// rendered cross-layer report, a digest of the RAN ground truth (which
+// packet bytes rode which TB chain), and the kernel's event count. Each
+// world case pins the world digest and a digest of the fleet report.
+//
+// The pins hold only for libstdc++: the std::*_distribution algorithms
+// behind sim::Rng are implementation-defined, so other standard
+// libraries draw different (equally valid) random streams.
+#include <chrono>
+#include <cstdint>
+#include <cstdio>
+#include <functional>
+#include <memory>
+#include <sstream>
+#include <string>
+
+#include <gtest/gtest.h>
+
+#include "app/session.hpp"
+#include "core/correlator.hpp"
+#include "core/report.hpp"
+#include "mitigation/app_aware_policy.hpp"
+#include "ran/grant_policy.hpp"
+#include "resilience/checkpoint.hpp"
+#include "world/engine.hpp"
+
+namespace athena {
+namespace {
+
+using namespace std::chrono_literals;
+
+#if defined(__GLIBCXX__)
+#define ATHENA_REQUIRE_PINNED_RNG() (void)0
+#else
+#define ATHENA_REQUIRE_PINNED_RNG() \
+  GTEST_SKIP() << "digest pins are recorded against libstdc++ distributions"
+#endif
+
+struct SessionPin {
+  std::uint64_t input = 0;
+  std::uint64_t report = 0;
+  std::uint64_t truth = 0;
+  std::uint64_t events = 0;
+};
+
+struct PinnedRun {
+  SessionPin pin;
+  ran::RanCounters counters;
+};
+
+using Arm = std::function<void(sim::Simulator&, app::Session&)>;
+
+PinnedRun RunSession(const app::SessionConfig& config, sim::Duration span,
+                     const Arm& arm = {}) {
+  sim::Simulator sim;
+  app::Session session{sim, config};
+  if (arm) arm(sim, session);
+  session.Run(span);
+
+  PinnedRun run;
+  const core::CorrelatorInput input = session.BuildCorrelatorInput();
+  resilience::StateDigest input_digest;
+  input_digest.Mix(input);
+  run.pin.input = input_digest.value();
+
+  const ran::RanUplink& uplink = *session.ran_uplink();
+  const core::CrossLayerDataset data = core::Correlator::Correlate(input);
+  std::ostringstream report;
+  core::Report::Render(report, core::Report::Inputs{
+                                   .dataset = &data,
+                                   .qoe = &session.qoe(),
+                                   .ran_counters = &uplink.counters(),
+                                   .controller_target_bps =
+                                       session.sender().controller().target_bps(),
+                               });
+  resilience::StateDigest report_digest;
+  report_digest.Mix(report.str());
+  run.pin.report = report_digest.value();
+
+  resilience::StateDigest truth_digest;
+  for (const ran::TbTruth& chain : uplink.truth()) {
+    truth_digest.Mix(chain.chain_id);
+    for (const ran::SegmentTruth& seg : chain.segments) {
+      truth_digest.Mix(seg.packet_id);
+      truth_digest.Mix(seg.bytes);
+      truth_digest.Mix(seg.last_segment ? 1 : 0);
+    }
+  }
+  run.pin.truth = truth_digest.value();
+  run.pin.events = sim.events_executed();
+  run.counters = uplink.counters();
+  return run;
+}
+
+std::string Hex(std::uint64_t v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "0x%016llxULL", static_cast<unsigned long long>(v));
+  return buf;
+}
+
+void ExpectPinned(const SessionPin& got, const SessionPin& want) {
+  EXPECT_EQ(got.input, want.input) << "correlator input digest " << Hex(got.input);
+  EXPECT_EQ(got.report, want.report) << "report digest " << Hex(got.report);
+  EXPECT_EQ(got.truth, want.truth) << "ground-truth digest " << Hex(got.truth);
+  EXPECT_EQ(got.events, want.events) << "events executed " << got.events;
+}
+
+/// A loaded fading cell: cross traffic with slow modulation, so every
+/// slot draws from the cross-traffic stream and HARQ rounds are common.
+app::SessionConfig LoadedCell(std::uint64_t seed) {
+  app::SessionConfig config;
+  config.seed = seed;
+  config.channel = ran::ChannelModel::FadingRadio();
+  config.cross_traffic = net::CapacityTrace{14e6};
+  config.cross_modulation_sigma = 0.3;
+  return config;
+}
+
+/// Grants whatever the last BSR reported, at once, plus a little slack:
+/// a policy with no scheduling delay and no proactive grants.
+class GreedyGrantPolicy final : public ran::GrantPolicy {
+ public:
+  Decision OnUplinkSlot(const SlotInfo& slot) override {
+    const std::uint32_t want = reported_ > 0 ? reported_ + 300 : 0;
+    reported_ = 0;
+    return Decision{std::min(want, slot.available_bytes), ran::GrantType::kRequested};
+  }
+  void OnBsrDecoded(sim::TimePoint, std::uint32_t reported_bytes) override {
+    reported_ = reported_bytes;
+  }
+  void OnTbFilled(sim::TimePoint, const Decision&, std::uint32_t) override {}
+
+ private:
+  std::uint32_t reported_ = 0;
+};
+
+TEST(DigestPinTest, ChannelHandovers) {
+  ATHENA_REQUIRE_PINNED_RNG();
+  app::SessionConfig config = LoadedCell(21);
+  config.channel.handover_interval = 900ms;
+  config.channel.handover_duration = 150ms;
+  const PinnedRun run = RunSession(config, 10s);
+  ExpectPinned(run.pin, {0x0e4a540f5dfa5ae1ULL, 0x3e97c280c23517e0ULL,
+                         0x4ad3938c2e85327aULL, 13467});
+}
+
+TEST(DigestPinTest, HarqChainDrops) {
+  ATHENA_REQUIRE_PINNED_RNG();
+  app::SessionConfig config = LoadedCell(22);
+  config.cell.max_harq_rounds = 2;
+  config.channel.bad_state_bler = 0.9;
+  const PinnedRun run = RunSession(config, 10s);
+  EXPECT_GT(run.counters.tb_dropped_chains, 0u);
+  ExpectPinned(run.pin, {0x6a0acdec41f769c7ULL, 0x8685402d35ae6d4bULL,
+                         0xb357d55e1280fe0fULL, 15865});
+}
+
+TEST(DigestPinTest, L4sEcnMarking) {
+  ATHENA_REQUIRE_PINNED_RNG();
+  app::SessionConfig config = LoadedCell(23);
+  config.cross_traffic = net::CapacityTrace{18e6};
+  config.controller = app::SessionConfig::Controller::kL4s;
+  const PinnedRun run = RunSession(config, 10s);
+  EXPECT_GT(run.counters.ecn_marked, 0u);
+  ExpectPinned(run.pin, {0x5ccf4eb04bb446dbULL, 0x347fb7547cb49974ULL,
+                         0xc545d8a7fb1ccca6ULL, 16403});
+}
+
+TEST(DigestPinTest, FddLikeCell) {
+  ATHENA_REQUIRE_PINNED_RNG();
+  app::SessionConfig config = LoadedCell(24);
+  config.cell = ran::RanConfig::FddLikeCell();
+  const PinnedRun run = RunSession(config, 10s);
+  ExpectPinned(run.pin, {0x7f0455f87d8ef5e3ULL, 0x2bbd0afc7eb5c921ULL,
+                         0x48f7d04a11c09c6eULL, 31721});
+}
+
+TEST(DigestPinTest, NoProactiveGrants) {
+  ATHENA_REQUIRE_PINNED_RNG();
+  app::SessionConfig config = LoadedCell(25);
+  config.cell = ran::RanConfig::PaperCellNoProactive();
+  const PinnedRun run = RunSession(config, 10s);
+  ExpectPinned(run.pin, {0xfb750b1fbfc09872ULL, 0x34819922737121e1ULL,
+                         0xcfe239c8ce670ed4ULL, 15211});
+}
+
+TEST(DigestPinTest, CustomGrantPolicy) {
+  ATHENA_REQUIRE_PINNED_RNG();
+  app::SessionConfig config = LoadedCell(26);
+  config.grant_policy = [](const ran::RanConfig&) -> std::unique_ptr<ran::GrantPolicy> {
+    return std::make_unique<GreedyGrantPolicy>();
+  };
+  const PinnedRun run = RunSession(config, 10s);
+  ExpectPinned(run.pin, {0x5827ecc499e98d1aULL, 0xee09efeea244d144ULL,
+                         0x2aa5732102d39585ULL, 15920});
+}
+
+TEST(DigestPinTest, TunablePolicySwitchedMidRun) {
+  ATHENA_REQUIRE_PINNED_RNG();
+  app::SessionConfig config = LoadedCell(27);
+  config.grant_policy = [](const ran::RanConfig& cell) -> std::unique_ptr<ran::GrantPolicy> {
+    return std::make_unique<ran::TunableGrantPolicy>(
+        std::make_unique<ran::BsrGrantPolicy>(cell),
+        std::make_unique<mitigation::AppAwareGrantPolicy>(cell));
+  };
+  const Arm arm = [](sim::Simulator& sim, app::Session& session) {
+    auto* tunable = dynamic_cast<ran::TunableGrantPolicy*>(&session.ran_uplink()->policy());
+    ASSERT_NE(tunable, nullptr);
+    sim.ScheduleAt(sim::kEpoch + 2s, [tunable] {
+      tunable->set_use_alternate(true);
+      tunable->set_proactive_scale(0.5);
+    });
+    sim.ScheduleAt(sim::kEpoch + 4s, [tunable] {
+      tunable->set_use_alternate(false);
+      tunable->set_proactive_scale(2.0);
+    });
+  };
+  const PinnedRun run = RunSession(config, 10s, arm);
+  ExpectPinned(run.pin, {0x07ff800cf0f3fd28ULL, 0xf15be5a7d2aeb5ebULL,
+                         0x821a346aecb222c1ULL, 15877});
+}
+
+// ---------- world ----------
+
+world::WorldConfig PinnedWorld() {
+  world::WorldConfig config;
+  config.seed = 4321;
+  config.ues = 16;
+  config.cells = 4;
+  config.shards = 2;
+  config.threaded = false;
+  config.duration = sim::Duration{600ms};
+  return config;
+}
+
+void ExpectWorldPinned(const world::WorldConfig& config, std::uint64_t want_digest,
+                       std::uint64_t want_fleet) {
+  world::WorldEngine engine{config};
+  const world::WorldResult result = engine.Run();
+  ASSERT_TRUE(result.conservation_ok) << result.conservation_error;
+  resilience::StateDigest fleet;
+  fleet.Mix(result.fleet_json);
+  EXPECT_EQ(result.digest, want_digest) << "world digest " << Hex(result.digest);
+  EXPECT_EQ(fleet.value(), want_fleet) << "fleet report digest " << Hex(fleet.value());
+}
+
+TEST(DigestPinTest, WorldWithHandovers) {
+  ATHENA_REQUIRE_PINNED_RNG();
+  world::WorldConfig config = PinnedWorld();
+  config.handover_every = 3;
+  ExpectWorldPinned(config, 0x3f9b27422e08116eULL, 0x2273b8f845345fefULL);
+}
+
+TEST(DigestPinTest, WorldWithCellOutage) {
+  ATHENA_REQUIRE_PINNED_RNG();
+  world::WorldConfig config = PinnedWorld();
+  config.outage_cell = 1;
+  config.outage_start = sim::TimePoint{sim::Duration{100ms}};
+  config.outage_end = sim::TimePoint{sim::Duration{250ms}};
+  ExpectWorldPinned(config, 0xb638f1fb566debd2ULL, 0x0cac531f9a75951fULL);
+}
+
+TEST(DigestPinTest, WorldSaturatedCell) {
+  ATHENA_REQUIRE_PINNED_RNG();
+  // Eight UEs in a 1 Mbps cell: most slots run out of budget, so grants
+  // queue behind each other and matured requests wait for their turn.
+  world::WorldConfig config = PinnedWorld();
+  config.ues = 8;
+  config.cells = 1;
+  config.shards = 1;
+  config.cell.cell_ul_capacity_bps = 1e6;
+  ExpectWorldPinned(config, 0x96d98ddc61e43bb8ULL, 0x620a4642fcc2469fULL);
+}
+
+}  // namespace
+}  // namespace athena
