@@ -15,8 +15,7 @@ TunableGrantPolicy::TunableGrantPolicy(std::unique_ptr<GrantPolicy> baseline,
 }
 
 GrantPolicy::Decision TunableGrantPolicy::OnUplinkSlot(const SlotInfo& slot) {
-  GrantPolicy& active = (use_alternate_ && alternate_) ? *alternate_ : *baseline_;
-  Decision d = active.OnUplinkSlot(slot);
+  Decision d = active().OnUplinkSlot(slot);
   if (d.grant == GrantType::kProactive && proactive_scale_ != 1.0) {
     const double scaled = static_cast<double>(d.tbs_bytes) * proactive_scale_;
     d.tbs_bytes = std::min(static_cast<std::uint32_t>(scaled), slot.available_bytes);
@@ -92,78 +91,5 @@ void BsrGrantPolicy::OnTbFilled(sim::TimePoint, const Decision&, std::uint32_t) 
   // The baseline scheduler learns nothing from utilization — that blind
   // spot is the §3.1 waste finding.
 }
-
-std::vector<MultiUeGrantPolicy::Allocation> SharedBsrGrantPolicy::OnUplinkSlot(
-    sim::TimePoint slot_time, std::uint64_t slot_index, std::uint32_t available_bytes,
-    const std::vector<UeDemand>& demand) {
-  std::vector<Allocation> out;
-  if (demand.empty() || available_bytes == 0) return out;
-  std::uint32_t budget = available_bytes;
-
-  // Pass 1 — matured requested grants, in UE-id order. A grant the budget
-  // cannot honour stays pending for the next slot (it was promised; the
-  // contention merely delays it — the §3.1 delay, now population-induced).
-  std::map<std::uint32_t, Allocation> granted;
-  for (const UeDemand& d : demand) {
-    if (budget == 0) break;
-    auto it = ues_.find(d.ue);
-    if (it == ues_.end()) continue;
-    UeState& state = it->second;
-    std::uint32_t requested = 0;
-    while (!state.pending.empty() && state.pending.front().usable_from <= slot_time) {
-      requested += state.pending.front().bytes;
-      state.pending.pop_front();
-    }
-    if (requested == 0) continue;
-    const std::uint32_t tbs = std::min(requested, budget);
-    const std::uint32_t leftover = requested - tbs;
-    if (leftover > 0) {
-      state.pending.push_front(
-          PendingGrant{slot_time + config_.ul_slot_period, leftover});
-    }
-    state.outstanding -= tbs;
-    budget -= tbs;
-    granted[d.ue] = Allocation{d.ue, tbs, GrantType::kRequested};
-  }
-
-  // Pass 2 — proactive grants, round-robin from a slot-rotated offset so
-  // a saturated cell starves no UE permanently. UEs that already hold a
-  // requested TB this slot are skipped (one PUSCH per UE per slot).
-  if (config_.proactive_grant_bytes > 0) {
-    const std::size_t n = demand.size();
-    const std::size_t offset = static_cast<std::size_t>(slot_index % n);
-    for (std::size_t i = 0; i < n && budget > 0; ++i) {
-      const UeDemand& d = demand[(offset + i) % n];
-      if (granted.count(d.ue) != 0) continue;
-      const std::uint32_t tbs = std::min(config_.proactive_grant_bytes, budget);
-      budget -= tbs;
-      granted[d.ue] = Allocation{d.ue, tbs, GrantType::kProactive};
-    }
-  }
-
-  out.reserve(granted.size());
-  for (auto& [ue, alloc] : granted) out.push_back(alloc);
-  return out;
-}
-
-void SharedBsrGrantPolicy::OnBsrDecoded(std::uint32_t ue, sim::TimePoint decoded_at,
-                                        std::uint32_t reported_bytes) {
-  UeState& state = ues_[ue];
-  if (reported_bytes <= state.outstanding) return;  // demand already covered
-  const std::uint32_t grant = reported_bytes - state.outstanding;
-  state.outstanding += grant;
-  const auto delay_us = config_.bsr_scheduling_delay.count();
-  const auto period_us = config_.ul_slot_period.count();
-  const auto target = decoded_at.us() + delay_us;
-  const auto aligned = ((target + period_us - 1) / period_us) * period_us;
-  state.pending.push_back(PendingGrant{sim::TimePoint{sim::Duration{aligned}}, grant});
-}
-
-void SharedBsrGrantPolicy::OnTbFilled(std::uint32_t, sim::TimePoint, std::uint32_t,
-                                      std::uint32_t) {
-  // Same learning blind spot as the single-UE baseline.
-}
-
-void SharedBsrGrantPolicy::OnUeRemoved(std::uint32_t ue) { ues_.erase(ue); }
 
 }  // namespace athena::ran

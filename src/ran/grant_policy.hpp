@@ -1,7 +1,7 @@
 // Uplink grant policies.
 //
-// The scheduler asks its policy, once per uplink slot, how large a
-// new-data TB to grant the measured UE. The default `BsrGrantPolicy`
+// The cell asks each attached UE's policy, once per uplink slot, how
+// large a new-data TB to grant that UE. The default `BsrGrantPolicy`
 // reproduces §3.1 faithfully — small proactive grants every slot plus
 // BSR-requested grants that mature ~10 ms later and are sized from the
 // buffer state *at BSR time* (the over-granting pathology). §5.2's
@@ -11,9 +11,7 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
-#include <vector>
 
 #include "ran/config.hpp"
 #include "ran/types.hpp"
@@ -46,6 +44,13 @@ class GrantPolicy {
   /// learning-based policies observe traffic through this.
   virtual void OnTbFilled(sim::TimePoint slot_time, const Decision& grant,
                           std::uint32_t used_bytes) = 0;
+
+  /// Is a BSR-requested grant due at `slot_time`? When UEs share a slot,
+  /// those answering yes decide first (the grant was promised; contention
+  /// only delays it). A policy that wraps another forwards the query.
+  [[nodiscard]] virtual bool HasDueRequest(sim::TimePoint /*slot_time*/) const {
+    return false;
+  }
 };
 
 /// The paper's baseline scheduler (§3.1).
@@ -57,6 +62,9 @@ class BsrGrantPolicy : public GrantPolicy {
   void OnBsrDecoded(sim::TimePoint decoded_at, std::uint32_t reported_bytes) override;
   void OnTbFilled(sim::TimePoint slot_time, const Decision& grant,
                   std::uint32_t used_bytes) override;
+  [[nodiscard]] bool HasDueRequest(sim::TimePoint slot_time) const override {
+    return !pending_.empty() && pending_.front().usable_from <= slot_time;
+  }
 
   /// Requested-grant bytes scheduled but not yet issued (diagnostics).
   [[nodiscard]] std::uint32_t outstanding_requested_bytes() const { return outstanding_; }
@@ -100,6 +108,9 @@ class TunableGrantPolicy final : public GrantPolicy {
   void OnBsrDecoded(sim::TimePoint decoded_at, std::uint32_t reported_bytes) override;
   void OnTbFilled(sim::TimePoint slot_time, const Decision& grant,
                   std::uint32_t used_bytes) override;
+  [[nodiscard]] bool HasDueRequest(sim::TimePoint slot_time) const override {
+    return active().HasDueRequest(slot_time);
+  }
 
   /// Knob: selects the grant-issuing policy. Rejects the switch when no
   /// alternate was provided (returns false).
@@ -116,87 +127,15 @@ class TunableGrantPolicy final : public GrantPolicy {
   [[nodiscard]] std::uint64_t mode_switches() const { return mode_switches_; }
 
  private:
+  [[nodiscard]] GrantPolicy& active() const {
+    return (use_alternate_ && alternate_) ? *alternate_ : *baseline_;
+  }
+
   std::unique_ptr<GrantPolicy> baseline_;
   std::unique_ptr<GrantPolicy> alternate_;
   bool use_alternate_ = false;
   double proactive_scale_ = 1.0;
   std::uint64_t mode_switches_ = 0;
-};
-
-/// Multi-UE scheduler: divides one cell's per-slot PUSCH budget among N
-/// contending UEs (the world engine's PRB-contention model). The same
-/// per-UE BSR machinery as GrantPolicy, plus an explicit budget split —
-/// under load, a UE's grant waits not only for the scheduling delay but
-/// for its *turn*, which is the population-level queueing the fleet
-/// reports surface.
-class MultiUeGrantPolicy {
- public:
-  virtual ~MultiUeGrantPolicy() = default;
-
-  struct UeDemand {
-    std::uint32_t ue = 0;
-    std::uint32_t eligible_bytes = 0;  ///< buffer old enough to make this slot
-  };
-
-  struct Allocation {
-    std::uint32_t ue = 0;
-    std::uint32_t tbs_bytes = 0;
-    GrantType grant = GrantType::kProactive;
-  };
-
-  /// Splits `available_bytes` (capacity left after HARQ retransmissions)
-  /// among the UEs in `demand` (sorted by UE id). At most one allocation
-  /// per UE; allocations are returned in UE-id order so the caller's
-  /// transmit sequence is deterministic. `slot_index` rotates round-robin
-  /// fairness across slots.
-  [[nodiscard]] virtual std::vector<Allocation> OnUplinkSlot(
-      sim::TimePoint slot_time, std::uint64_t slot_index, std::uint32_t available_bytes,
-      const std::vector<UeDemand>& demand) = 0;
-
-  /// A BSR from `ue` decoded at the gNB (piggy-backed or via SR).
-  virtual void OnBsrDecoded(std::uint32_t ue, sim::TimePoint decoded_at,
-                            std::uint32_t reported_bytes) = 0;
-
-  /// The UE filled its granted TB with `used_bytes` of payload.
-  virtual void OnTbFilled(std::uint32_t ue, sim::TimePoint slot_time,
-                          std::uint32_t granted_bytes, std::uint32_t used_bytes) = 0;
-
-  /// Forgets all scheduler state for `ue` (handover detach).
-  virtual void OnUeRemoved(std::uint32_t ue) = 0;
-};
-
-/// The baseline multi-UE scheduler: per-UE BSR grant queues with the same
-/// §3.1 over-granting blind spot as BsrGrantPolicy, matured requested
-/// grants served in UE-id order, then proactive grants handed out
-/// round-robin (rotation offset = slot_index mod population) until the
-/// slot budget runs out.
-class SharedBsrGrantPolicy : public MultiUeGrantPolicy {
- public:
-  explicit SharedBsrGrantPolicy(const RanConfig& config) : config_(config) {}
-
-  std::vector<Allocation> OnUplinkSlot(sim::TimePoint slot_time, std::uint64_t slot_index,
-                                       std::uint32_t available_bytes,
-                                       const std::vector<UeDemand>& demand) override;
-  void OnBsrDecoded(std::uint32_t ue, sim::TimePoint decoded_at,
-                    std::uint32_t reported_bytes) override;
-  void OnTbFilled(std::uint32_t ue, sim::TimePoint slot_time, std::uint32_t granted_bytes,
-                  std::uint32_t used_bytes) override;
-  void OnUeRemoved(std::uint32_t ue) override;
-
- private:
-  struct PendingGrant {
-    sim::TimePoint usable_from;
-    std::uint32_t bytes = 0;
-  };
-  struct UeState {
-    std::deque<PendingGrant> pending;
-    std::uint32_t outstanding = 0;
-  };
-
-  RanConfig config_;
-  /// Ordered map: every per-slot iteration is in UE-id order, so the
-  /// allocation sequence is a pure function of (slot, demand, state).
-  std::map<std::uint32_t, UeState> ues_;
 };
 
 }  // namespace athena::ran

@@ -48,9 +48,6 @@ struct SegmentTruth {
 
 struct TbTruth {
   TbId chain_id = 0;
-  sim::TimePoint first_tx_slot;
-  sim::TimePoint delivered_at;  ///< decode success time; 0-equivalent if dropped
-  bool dropped = false;
   std::vector<SegmentTruth> segments;
 };
 

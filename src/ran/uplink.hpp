@@ -1,15 +1,18 @@
-// The 5G uplink machine: UE-side RLC buffer, slot-clocked grant issuance,
-// TB filling with segmentation, HARQ retransmissions, and delivery to the
-// mobile core. This is the system under measurement in §§2–3: every delay
-// artifact the paper explains (2.5 ms delay-spread quantization, ~10 ms
-// BSR scheduling delay, 10 ms HARQ inflation, over-granting, empty-TB
-// retransmissions) is an emergent behaviour of this component.
+// The measured UE's 5G uplink (§§2–3): UE-side RLC buffer, slot-clocked
+// grant issuance, TB filling with segmentation, HARQ retransmissions, and
+// delivery to the mobile core.
+//
+// A one-UE view of `MultiUeUplink` (multi_ue.hpp), which runs the slot
+// machine: the measured UE is attached as UE 0 to a private cell whose
+// slot budget is shrunk by the competing cross traffic. This class adds
+// what only a single session needs — the gNB→core transfer to capture
+// point ②, the `ran.transit` span, and the ground-truth record of which
+// packet bytes rode which TB chain.
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "net/capacity_trace.hpp"
@@ -18,8 +21,8 @@
 #include "ran/config.hpp"
 #include "ran/cross_traffic.hpp"
 #include "ran/grant_policy.hpp"
+#include "ran/multi_ue.hpp"
 #include "ran/types.hpp"
-#include "sim/random.hpp"
 #include "sim/simulator.hpp"
 
 namespace athena::ran {
@@ -32,15 +35,15 @@ class RanUplink {
             CrossTraffic cross_traffic, std::unique_ptr<GrantPolicy> policy = nullptr);
 
   /// Starts the slot clock. Must be called before traffic is offered.
-  void Start();
+  void Start() { cell_.Start(); }
 
   /// Cancels the slot clock. After Stop() no further TBs are transmitted
   /// or delivered; buffered packets stay queued. Safe to call repeatedly.
-  void Stop();
+  void Stop() { cell_.Stop(); }
 
   /// The UE's IP stack hands a datagram to the modem (enters the RLC
   /// transmission buffer).
-  void SendFromUe(const net::Packet& p);
+  void SendFromUe(const net::Packet& p) { cell_.SendFromUe(kUe, p); }
   [[nodiscard]] net::PacketHandler AsHandler() {
     return [this](const net::Packet& p) { SendFromUe(p); };
   }
@@ -49,92 +52,35 @@ class RanUplink {
   void set_core_sink(net::PacketHandler sink) { core_sink_ = std::move(sink); }
 
   // --- telemetry (what NG-Scope exposes; Athena's L1 input) ---
-  [[nodiscard]] const std::vector<TbRecord>& telemetry() const { return telemetry_; }
+  [[nodiscard]] const std::vector<TbRecord>& telemetry() const { return radio().telemetry; }
 
   /// Streams each telemetry record as it is produced (for online
   /// consumers such as the §5.3 PHY-informed controller).
-  void set_telemetry_listener(std::function<void(const TbRecord&)> listener) {
-    telemetry_listener_ = std::move(listener);
-  }
+  void set_telemetry_listener(std::function<void(const TbRecord&)> listener);
 
   // --- ground truth (tests only; see types.hpp) ---
   [[nodiscard]] const std::vector<TbTruth>& truth() const { return truth_; }
 
-  [[nodiscard]] const RanCounters& counters() const { return counters_; }
-  [[nodiscard]] const RanConfig& config() const { return config_; }
-  [[nodiscard]] GrantPolicy& policy() { return *policy_; }
+  [[nodiscard]] const RanCounters& counters() const { return cell_.counters(); }
+  [[nodiscard]] const RanConfig& config() const { return cell_.config(); }
+  [[nodiscard]] GrantPolicy& policy() { return cell_.policy(kUe); }
 
   /// Current RLC buffer occupancy in bytes (diagnostics).
-  [[nodiscard]] std::uint32_t buffer_bytes() const;
+  [[nodiscard]] std::uint32_t buffer_bytes() const { return radio().TotalBufferBytes(); }
 
   /// Capacity trace computed from granted transport-block sizes, windowed —
   /// exactly how the paper derives the Fig. 7 emulated-baseline rate.
   [[nodiscard]] net::CapacityTrace ObservedCapacityTrace(sim::Duration window) const;
 
  private:
-  struct QueuedPacket {
-    net::Packet pkt;
-    std::uint32_t remaining = 0;
-    sim::TimePoint enqueued_at;
-  };
+  static constexpr std::uint32_t kUe = 0;
 
-  struct Segment {
-    net::PacketId packet_id = 0;
-    std::uint32_t bytes = 0;
-    bool last = false;
-  };
-
-  struct Tb {
-    TbId id = 0;
-    TbId chain_id = 0;
-    GrantType grant = GrantType::kProactive;
-    std::uint32_t tbs = 0;
-    std::uint32_t used = 0;
-    std::uint8_t round = 0;
-    sim::TimePoint first_tx_slot;
-    std::vector<Segment> segments;
-    bool has_bsr = false;
-    std::uint32_t bsr_bytes = 0;
-  };
-
-  struct DeliveryState {
-    net::Packet pkt;
-    std::uint32_t undelivered = 0;
-    sim::TimePoint enqueued_at;  ///< modem arrival (obs: ran.transit span)
-  };
-
-  void OnUplinkSlot();
-  /// Builds and transmits a new-data TB of the granted size.
-  void TransmitNewTb(const GrantPolicy::Decision& grant, sim::TimePoint slot_time);
-  /// Transmits (or retransmits) `tb` and samples its decode outcome.
-  void Transmit(Tb tb, sim::TimePoint slot_time);
-  void OnTbDecoded(const Tb& tb, sim::TimePoint slot_time);
-  void OnChainDropped(const Tb& tb, sim::TimePoint slot_time);
-  [[nodiscard]] std::uint32_t EligibleBufferBytes(sim::TimePoint slot_time) const;
-  [[nodiscard]] std::uint32_t TotalBufferBytes() const;
-  void RecordTelemetry(const Tb& tb, sim::TimePoint slot_time, bool crc_ok);
+  [[nodiscard]] const UeRadioState& radio() const { return *cell_.FindUe(kUe); }
 
   sim::Simulator& sim_;
-  RanConfig config_;
-  ChannelModel channel_;
-  CrossTraffic cross_traffic_;
-  std::unique_ptr<GrantPolicy> policy_;
+  MultiUeUplink cell_;
   net::PacketHandler core_sink_;
-
-  std::deque<QueuedPacket> queue_;
-  std::unordered_map<net::PacketId, DeliveryState> in_flight_;
-  /// Retransmissions waiting for their slot, keyed by absolute slot time (µs).
-  std::unordered_map<std::int64_t, std::vector<Tb>> pending_rtx_;
-
-  std::vector<TbRecord> telemetry_;
-  std::function<void(const TbRecord&)> telemetry_listener_;
   std::vector<TbTruth> truth_;
-  std::unordered_map<TbId, std::size_t> truth_index_;  // chain_id → truth_ slot
-  RanCounters counters_;
-
-  TbId next_tb_id_ = 1;
-  bool started_ = false;
-  sim::EventHandle slot_timer_;
 };
 
 }  // namespace athena::ran

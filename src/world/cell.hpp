@@ -66,8 +66,9 @@ class Cell : public Entity {
   virtual void AppendDigest(std::vector<std::uint64_t>& out) const = 0;
 };
 
-/// The stock 5G cell: `ran::MultiUeUplink` with the shared BSR grant
-/// policy, slot clock on the epoch-aligned UL grid.
+/// The stock 5G cell: `ran::MultiUeUplink` with no cross traffic, each
+/// attached UE scheduled by its own `ran::BsrGrantPolicy`, slot clock on
+/// the epoch-aligned UL grid.
 [[nodiscard]] std::unique_ptr<Cell> MakeNrCell(Cell::Context ctx, ran::RanConfig config);
 
 }  // namespace athena::world

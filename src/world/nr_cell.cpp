@@ -10,10 +10,10 @@ class NrCell final : public Cell {
  public:
   NrCell(Context ctx, ran::RanConfig config)
       : ctx_(std::move(ctx)),
-        uplink_(*ctx_.sim, config, /*cell_tag=*/ctx_.id,
-                /*policy=*/nullptr) {
+        uplink_(*ctx_.sim, config, /*cell_tag=*/ctx_.id, ran::CrossTraffic::Idle(sim::Rng{})) {
     uplink_.set_deliver_sink(
-        [this](std::uint32_t ue, const net::Packet& pkt, sim::TimePoint decoded_at) {
+        [this](std::uint32_t ue, const net::Packet& pkt, sim::TimePoint decoded_at,
+               sim::TimePoint /*enqueued_at*/) {
           // gNB → core: at least one lookahead (the core-delivery hop is
           // a mailbox edge, so it must respect the conservative bound).
           const sim::Duration hop =
