@@ -1,5 +1,7 @@
 #include <chrono>
 #include <map>
+#include <memory>
+#include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -8,7 +10,9 @@
 #include "ran/config.hpp"
 #include "ran/cross_traffic.hpp"
 #include "ran/grant_policy.hpp"
+#include "ran/multi_ue.hpp"
 #include "ran/uplink.hpp"
+#include "sim/check.hpp"
 #include "sim/simulator.hpp"
 
 namespace athena::ran {
@@ -487,6 +491,268 @@ TEST_F(RanUplinkTest, GrantUtilizationLowWhenIdle) {
   sim_.RunUntil(kEpoch + 1s);
   // One packet against a second of proactive grants: utilization ≈ 0.
   EXPECT_LT(ran_->counters().GrantUtilization(), 0.01);
+}
+
+// ---------- MultiUeUplink (the cell's contention contract) ----------
+
+/// A cell whose slot budget is exactly one proactive grant: 2500 B per
+/// 2.5 ms slot = 8 Mbps.
+RanConfig OneGrantPerSlotCell() {
+  RanConfig cell = RanConfig::PaperCell();
+  cell.cell_ul_capacity_bps = 8e6;
+  return cell;
+}
+
+/// The baseline policy, logging every slot at which the cell consulted it
+/// for a grant or handed it a scheduling request.
+class RecordingPolicy final : public GrantPolicy {
+ public:
+  RecordingPolicy(const RanConfig& cell, std::vector<sim::TimePoint>& calls)
+      : inner_(cell), calls_(calls) {}
+
+  Decision OnUplinkSlot(const SlotInfo& slot) override {
+    calls_.push_back(slot.slot_time);
+    return inner_.OnUplinkSlot(slot);
+  }
+  void OnBsrDecoded(sim::TimePoint decoded_at, std::uint32_t reported_bytes) override {
+    calls_.push_back(decoded_at);
+    inner_.OnBsrDecoded(decoded_at, reported_bytes);
+  }
+  void OnTbFilled(sim::TimePoint slot_time, const Decision& grant,
+                  std::uint32_t used_bytes) override {
+    inner_.OnTbFilled(slot_time, grant, used_bytes);
+  }
+  [[nodiscard]] bool HasDueRequest(sim::TimePoint slot_time) const override {
+    return inner_.HasDueRequest(slot_time);
+  }
+
+ private:
+  BsrGrantPolicy inner_;
+  std::vector<sim::TimePoint>& calls_;
+};
+
+class MultiUeUplinkTest : public ::testing::Test {
+ protected:
+  void Build(RanConfig config) {
+    config_ = config;
+    cell_ = std::make_unique<MultiUeUplink>(sim_, config, /*cell_tag=*/0,
+                                            CrossTraffic::Idle(sim::Rng{1}));
+  }
+
+  void Attach(std::uint32_t ue, ChannelModel::Config channel = {.base_bler = 0.0},
+              std::unique_ptr<GrantPolicy> policy = nullptr) {
+    UeRadioState radio;
+    radio.channel = ChannelModel{channel, sim::Rng{100 + ue}};
+    cell_->AttachUe(ue, std::move(radio), std::move(policy));
+  }
+
+  void SendAt(sim::Duration when, std::uint32_t ue, net::PacketId id, std::uint32_t bytes) {
+    sim_.ScheduleAt(kEpoch + when, [this, ue, id, bytes] {
+      net::Packet p;
+      p.id = id;
+      p.kind = net::PacketKind::kRtpVideo;
+      p.size_bytes = bytes;
+      p.created_at = sim_.Now();
+      cell_->SendFromUe(ue, p);
+    });
+  }
+
+  [[nodiscard]] const std::vector<TbRecord>& Telemetry(std::uint32_t ue) const {
+    return cell_->FindUe(ue)->telemetry;
+  }
+
+  [[nodiscard]] bool HasRecordAt(std::uint32_t ue, sim::TimePoint slot) const {
+    for (const TbRecord& tb : Telemetry(ue)) {
+      if (tb.slot_time == slot) return true;
+    }
+    return false;
+  }
+
+  sim::Simulator sim_;
+  RanConfig config_;
+  std::unique_ptr<MultiUeUplink> cell_;
+};
+
+TEST_F(MultiUeUplinkTest, DueRequestedGrantIsServedBeforeProactiveGrants) {
+  Build(OneGrantPerSlotCell());
+  for (std::uint32_t ue = 0; ue < 4; ++ue) Attach(ue);
+  cell_->Start();
+  // A 10 kB burst on UE 2. Its demand reaches the gNB at the 2.5 ms slot
+  // (by SR or piggy-backed BSR), so a requested grant matures at 12.5 ms.
+  for (net::PacketId id = 1; id <= 10; ++id) SendAt(1ms, 2, id, 1000);
+  sim_.RunUntil(kEpoch + 13ms);
+
+  // At 12.5 ms the requested grant takes the whole budget; the proactive
+  // grant the rotation would have handed out that slot never goes out.
+  const sim::TimePoint maturity = kEpoch + 12'500us;
+  std::size_t tbs_at_maturity = 0;
+  for (std::uint32_t ue = 0; ue < 4; ++ue) {
+    for (const TbRecord& tb : Telemetry(ue)) {
+      if (tb.slot_time != maturity) continue;
+      ++tbs_at_maturity;
+      EXPECT_EQ(ue, 2u);
+      EXPECT_EQ(tb.grant, GrantType::kRequested);
+      EXPECT_EQ(tb.tbs_bytes, 2500u);
+    }
+  }
+  EXPECT_EQ(tbs_at_maturity, 1u);
+}
+
+TEST_F(MultiUeUplinkTest, ProactiveGrantsRotateSoNoUeStarves) {
+  constexpr std::uint32_t kUes = 4;
+  Build(OneGrantPerSlotCell());
+  for (std::uint32_t ue = 0; ue < kUes; ++ue) Attach(ue);
+  cell_->Start();
+  sim_.RunUntil(kEpoch + 1s);  // idle UEs: only proactive grants contend
+
+  std::map<std::int64_t, std::vector<std::uint32_t>> served;  // slot µs → UEs
+  for (std::uint32_t ue = 0; ue < kUes; ++ue) {
+    for (const TbRecord& tb : Telemetry(ue)) served[tb.slot_time.us()].push_back(ue);
+  }
+  ASSERT_EQ(served.size(), cell_->slots_run());
+  std::vector<std::uint32_t> order;
+  for (const auto& [slot_us, ues] : served) {
+    ASSERT_EQ(ues.size(), 1u) << "the budget fits one grant per slot";
+    order.push_back(ues.front());
+  }
+  // Every window of n consecutive slots serves all n UEs.
+  for (std::size_t i = 0; i + kUes <= order.size(); ++i) {
+    const std::set<std::uint32_t> window(order.begin() + static_cast<std::ptrdiff_t>(i),
+                                         order.begin() + static_cast<std::ptrdiff_t>(i + kUes));
+    EXPECT_EQ(window.size(), kUes) << "a UE starved in slots " << i << ".." << i + kUes - 1;
+  }
+}
+
+TEST_F(MultiUeUplinkTest, AtMostOneNewDataTbPerUePerSlot) {
+  constexpr std::uint32_t kUes = 3;
+  Build(RanConfig::PaperCell());  // room for several grants per slot
+  for (std::uint32_t ue = 0; ue < kUes; ++ue) Attach(ue, {.base_bler = 0.3});
+  cell_->Start();
+  // 30 fps frame bursts on every UE: requested and proactive grants overlap.
+  net::PacketId id = 1;
+  for (int frame = 0; frame < 30; ++frame) {
+    for (std::uint32_t ue = 0; ue < kUes; ++ue) {
+      for (int pkt = 0; pkt < 6; ++pkt) SendAt(frame * 33ms + 1ms, ue, id++, 1200);
+    }
+  }
+  sim_.RunUntil(kEpoch + 2s);
+
+  std::size_t requested = 0;
+  for (std::uint32_t ue = 0; ue < kUes; ++ue) {
+    std::set<std::int64_t> slots;
+    for (const TbRecord& tb : Telemetry(ue)) {
+      if (tb.harq_round != 0) continue;
+      requested += tb.grant == GrantType::kRequested ? 1 : 0;
+      EXPECT_TRUE(slots.insert(tb.slot_time.us()).second)
+          << "UE " << ue << " got two new-data TBs at " << tb.slot_time.us() << " us";
+    }
+  }
+  EXPECT_GT(requested, 0u);
+  EXPECT_GT(cell_->counters().tb_rtx, 0u);
+}
+
+TEST_F(MultiUeUplinkTest, UeMidHandoverIsUnreachableWhileOthersTransmit) {
+  Build(RanConfig::PaperCell());
+  Attach(0);
+  // UE 1: every first transmission fails and every retransmission decodes.
+  // Its channel enters a 50 ms handover at the 7.5, 10 or 12.5 ms slot.
+  ChannelModel::Config edge{.base_bler = 1.0, .rtx_bler_factor = 0.0};
+  edge.handover_interval = 10ms;
+  edge.handover_duration = 50ms;
+  std::vector<sim::TimePoint> ue1_policy_calls;
+  Attach(1, edge, std::make_unique<RecordingPolicy>(config_, ue1_policy_calls));
+
+  // Probe UE 1's channel just after each slot k (at k × 2.5 ms).
+  constexpr int kSlots = 48;
+  std::vector<bool> mid_handover;
+  for (int k = 1; k <= kSlots; ++k) {
+    sim_.ScheduleAt(kEpoch + k * 2500us + 1us, [this, &mid_handover] {
+      mid_handover.push_back(cell_->FindUe(1)->channel.in_handover());
+    });
+  }
+  cell_->Start();
+  SendAt(1ms, 1, 1, 1200);   // rides the 2.5 ms TB, which fails
+  SendAt(20ms, 1, 2, 1200);  // waits in the buffer during the handover
+  sim_.RunUntil(kEpoch + kSlots * 2500us + 1ms);
+  ASSERT_EQ(mid_handover.size(), static_cast<std::size_t>(kSlots));
+  ASSERT_TRUE(mid_handover[4]) << "the 12.5 ms slot must fall in the handover";
+
+  int dark_slots = 0;
+  for (int k = 1; k <= kSlots; ++k) {
+    if (!mid_handover[static_cast<std::size_t>(k - 1)]) continue;
+    ++dark_slots;
+    const sim::TimePoint slot = kEpoch + k * 2500us;
+    EXPECT_TRUE(HasRecordAt(0, slot)) << "UE 0 must keep transmitting at slot " << k;
+    EXPECT_FALSE(HasRecordAt(1, slot)) << "UE 1 transmitted mid-handover at slot " << k;
+    for (const sim::TimePoint call : ue1_policy_calls) {
+      EXPECT_NE(call, slot) << "UE 1 got a grant decision or sent an SR at slot " << k;
+    }
+  }
+  EXPECT_GE(dark_slots, 19);
+
+  // The retransmission of the 2.5 ms TB fell due at 12.5 ms and moved one
+  // slot at a time until the first slot UE 1 was reachable again.
+  const TbRecord& first = Telemetry(1).front();
+  ASSERT_EQ(first.slot_time, kEpoch + 2500us);
+  ASSERT_FALSE(first.crc_ok);
+  int reachable_again = 5;
+  while (reachable_again <= kSlots && mid_handover[static_cast<std::size_t>(reachable_again - 1)]) {
+    ++reachable_again;
+  }
+  ASSERT_LE(reachable_again, kSlots);
+  bool retransmitted = false;
+  for (const TbRecord& tb : Telemetry(1)) {
+    if (tb.chain_id != first.chain_id || tb.harq_round != 1) continue;
+    retransmitted = true;
+    EXPECT_EQ(tb.slot_time, kEpoch + reachable_again * 2500us);
+    EXPECT_TRUE(tb.crc_ok);
+  }
+  EXPECT_TRUE(retransmitted);
+}
+
+TEST_F(MultiUeUplinkTest, PreconditionsHoldInReleaseBuilds) {
+  sim::ScopedCheckThrow guard;
+  Build(RanConfig::PaperCell());
+  Attach(0);
+  EXPECT_THROW(Attach(0), sim::CheckViolation);
+  EXPECT_THROW((void)cell_->DetachUe(7), sim::CheckViolation);
+  net::Packet p;
+  p.id = 1;
+  p.size_bytes = 100;
+  EXPECT_THROW(cell_->SendFromUe(7, p), sim::CheckViolation);
+  EXPECT_THROW((void)cell_->policy(7), sim::CheckViolation);
+  EXPECT_TRUE(cell_->HasUe(0));
+}
+
+TEST_F(MultiUeUplinkTest, DetachFromInsideASlotIsRejected) {
+  // A callback that detached a UE mid-slot would leave the slot
+  // transmitting for a UE that is gone.
+  sim::ScopedCheckThrow guard;
+  Build(RanConfig::PaperCell());
+  Attach(0);
+  Attach(1);
+  cell_->set_telemetry_listener([this](std::uint32_t ue, const TbRecord&) {
+    if (ue == 0) (void)cell_->DetachUe(1);
+  });
+  cell_->Start();
+  EXPECT_THROW(sim_.RunUntil(kEpoch + 10ms), sim::CheckViolation);
+  EXPECT_TRUE(cell_->HasUe(1));
+}
+
+TEST_F(MultiUeUplinkTest, DetachBooksPendingRetransmissionsAsLoss) {
+  Build(RanConfig::PaperCell());
+  Attach(0, {.base_bler = 1.0, .rtx_bler_factor = 1.0});
+  cell_->Start();
+  SendAt(1ms, 0, 1, 1200);
+  SendAt(1ms, 0, 2, 800);
+  sim_.RunUntil(kEpoch + 4ms);  // the 2.5 ms TB failed; its rtx is pending
+  const UeRadioState radio = cell_->DetachUe(0);
+  EXPECT_EQ(radio.offered, 2u);
+  EXPECT_EQ(radio.lost, 2u);
+  EXPECT_TRUE(radio.in_flight.empty());
+  EXPECT_FALSE(cell_->HasUe(0));
+  sim_.RunUntil(kEpoch + 50ms);  // nothing left to retransmit
+  EXPECT_EQ(cell_->counters().tb_rtx, 0u);
 }
 
 }  // namespace
