@@ -9,7 +9,6 @@
 #include "app/session.hpp"
 #include "cc/gcc.hpp"
 #include "core/correlator.hpp"
-#include "legacy_event_queue.hpp"
 #include "media/jitter_buffer.hpp"
 #include "obs/trace.hpp"
 #include "queue_workload.hpp"
@@ -38,7 +37,7 @@ BENCHMARK(BM_EventQueueScheduleRun);
 
 // 50k items (more than kQueueWorkloadDepth) so the steady-state
 // schedule/cancel/pop interleave engages — the same parameters the
-// committed BENCH_perf.json speedup is measured with.
+// committed BENCH_perf.json throughput is measured with.
 void BM_EventQueueMixNew(benchmark::State& state) {
   std::uint64_t counter = 0;
   for (auto _ : state) {
@@ -49,17 +48,6 @@ void BM_EventQueueMixNew(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 50'000);
 }
 BENCHMARK(BM_EventQueueMixNew);
-
-void BM_EventQueueMixLegacy(benchmark::State& state) {
-  std::uint64_t counter = 0;
-  for (auto _ : state) {
-    bench::legacy::EventQueue q;
-    bench::QueueWorkload(q, &counter, 50'000);
-    benchmark::DoNotOptimize(counter);
-  }
-  state.SetItemsProcessed(state.iterations() * 50'000);
-}
-BENCHMARK(BM_EventQueueMixLegacy);
 
 void BM_TraceEmitInstant(benchmark::State& state) {
   // Cost of one enabled emit: POD fill + interned-id store + chunk append.

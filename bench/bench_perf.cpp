@@ -1,10 +1,8 @@
 // Hot-path performance baseline, written to BENCH_perf.json (path =
 // argv[1], default "BENCH_perf.json"):
 //
-//   1. event_queue   — the shared schedule/cancel/pop workload
-//      (queue_workload.hpp) on the production queue vs the pre-overhaul
-//      replica (legacy_event_queue.hpp). `speedup_vs_legacy` is the
-//      number the "≥2× schedule+pop throughput" acceptance bound watches.
+//   1. event_queue   — schedule/cancel/pop throughput of the production
+//      queue on the shared workload (queue_workload.hpp).
 //   2. trace_emit    — ns per enabled TraceInstant into the chunked
 //      recorder. `ns_per_event` measures the production batched path
 //      (TraceBatcher → TraceRecorder::EmitBatch, one virtual call and a
@@ -40,7 +38,6 @@
 
 #include "app/session.hpp"
 #include "core/correlator.hpp"
-#include "legacy_event_queue.hpp"
 #include "obs/obs.hpp"
 #include "queue_workload.hpp"
 #include "sim/event_queue.hpp"
@@ -68,31 +65,20 @@ double Median(std::vector<double> samples) {
                               : 0.5 * (samples[n / 2 - 1] + samples[n / 2]));
 }
 
-template <typename Queue>
 double QueueRepSeconds(std::uint64_t* counter, int items) {
-  Queue q;
+  sim::EventQueue q;
   return WallSeconds([&] { bench::QueueWorkload(q, counter, items); });
 }
 
-/// Measures both queues with strictly alternating reps, so slow phases of
-/// a shared/noisy host (CPU steal, frequency drift) hit both
-/// implementations equally instead of biasing whichever ran second.
-/// Returns {new_ops_per_sec, legacy_ops_per_sec}.
-std::array<double, 2> QueueThroughputs(int reps, int items) {
+/// Schedule/cancel/pop operations per second over `reps` reps.
+double QueueOpsPerSecond(int reps, int items) {
   std::uint64_t counter = 0;
   // Untimed warmup: heap growth and page faults land outside the clock.
-  QueueRepSeconds<sim::EventQueue>(&counter, items);
-  QueueRepSeconds<bench::legacy::EventQueue>(&counter, items);
-  double new_secs = 0.0;
-  double legacy_secs = 0.0;
-  for (int r = 0; r < reps; ++r) {
-    new_secs += QueueRepSeconds<sim::EventQueue>(&counter, items);
-    legacy_secs += QueueRepSeconds<bench::legacy::EventQueue>(&counter, items);
-  }
+  QueueRepSeconds(&counter, items);
+  double secs = 0.0;
+  for (int r = 0; r < reps; ++r) secs += QueueRepSeconds(&counter, items);
   if (counter == 0) std::abort();  // keep the work observable
-  const double total = static_cast<double>(reps) * items;
-  return {new_secs > 0.0 ? total / new_secs : 0.0,
-          legacy_secs > 0.0 ? total / legacy_secs : 0.0};
+  return secs > 0.0 ? static_cast<double>(reps) * items / secs : 0.0;
 }
 
 /// One simulated session second; `stressed` matches bench_live's fading
@@ -144,9 +130,8 @@ int main(int argc, char** argv) {
   constexpr int kSessionReps = 8;
   constexpr std::size_t kSweepRuns = 16;
 
-  // --- 1. event queue: production vs legacy ---
-  const auto [new_ops, legacy_ops] = QueueThroughputs(kQueueReps, kQueueItems);
-  const double speedup = legacy_ops > 0.0 ? new_ops / legacy_ops : 0.0;
+  // --- 1. event queue ---
+  const double queue_ops = QueueOpsPerSecond(kQueueReps, kQueueItems);
 
   // --- 2. trace emit: batched production path + direct comparison ---
   constexpr std::size_t kEmits = 2'000'000;
@@ -275,9 +260,7 @@ int main(int argc, char** argv) {
   os << "  \"event_queue\": {\n";
   os << "    \"workload_items\": " << kQueueItems << ",\n";
   os << "    \"reps\": " << kQueueReps << ",\n";
-  os << "    \"ops_per_sec\": " << new_ops << ",\n";
-  os << "    \"legacy_ops_per_sec\": " << legacy_ops << ",\n";
-  os << "    \"speedup_vs_legacy\": " << speedup << "\n";
+  os << "    \"ops_per_sec\": " << queue_ops << "\n";
   os << "  },\n";
   const auto write_array = [&os](const char* key, const std::vector<double>& v) {
     os << "    \"" << key << "\": [";
@@ -317,8 +300,7 @@ int main(int argc, char** argv) {
   os << "  }\n";
   os << "}\n";
 
-  std::cout << "event queue: " << new_ops / 1e6 << " M ops/s vs legacy "
-            << legacy_ops / 1e6 << " M ops/s (x" << speedup << ")\n";
+  std::cout << "event queue: " << queue_ops / 1e6 << " M ops/s\n";
   std::cout << "trace emit: " << emit_ns << " ns/event batched, " << emit_ns_direct
             << " ns/event direct\n";
   std::cout << "sweep x" << kSweepRuns << ": serial " << serial_secs << " s";

@@ -1,6 +1,6 @@
-// The schedule/cancel/pop mix both event-queue implementations are
-// compared on (bench_micro_perf for interactive runs, bench_perf for the
-// committed BENCH_perf.json numbers). The queue is held at a steady
+// The schedule/cancel/pop mix the event queue is measured on
+// (bench_micro_perf for interactive runs, bench_perf for the committed
+// BENCH_perf.json numbers). The queue is held at a steady
 // ~16k-event depth (a busy kernel with in-flight packets, per-packet HARQ
 // timers, and pacer/feedback timers all pending); then per item:
 // schedule a callback capturing 32 bytes (a pointer plus three scalars —
@@ -8,29 +8,26 @@
 // std::function's 16-byte inline buffer, within InlineCallback's 48),
 // cancel every 4th (every PeriodicTimer tick is a cancel+reschedule, so
 // real sessions cancel constantly), pop one to hold the depth.
-// Templated so the production queue and the pre-overhaul replica
-// (legacy_event_queue.hpp) run exactly the same code. Benchmarks only —
-// nothing in src/ may include this.
+// Benchmarks only — nothing in src/ may include this.
 #pragma once
 
 #include <cstdint>
 
+#include "sim/event_queue.hpp"
 #include "sim/time.hpp"
 
 namespace athena::bench {
 
 inline constexpr int kQueueWorkloadDepth = 16384;
 
-template <typename Queue>
-void QueueWorkload(Queue& q, std::uint64_t* counter, int items) {
-  using Handle = decltype(q.Schedule(sim::TimePoint{}, [] {}));
+inline void QueueWorkload(sim::EventQueue& q, std::uint64_t* counter, int items) {
   std::int64_t t = 0;
   for (int i = 0; i < kQueueWorkloadDepth; ++i) {
     t += (i * 37) % 199 + 1;
     q.Schedule(sim::kEpoch + sim::Duration{t},
                [counter, i] { *counter += static_cast<std::uint64_t>(i); });
   }
-  Handle last;
+  sim::EventHandle last;
   for (int i = 0; i < items; ++i) {
     t += (i * 37) % 199 + 1;
     const std::uint64_t tag = static_cast<std::uint64_t>(i);

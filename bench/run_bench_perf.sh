@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
 # Builds and runs the hot-path performance baseline:
-#   - bench_perf — event-queue throughput vs the pre-overhaul legacy
-#     implementation (the ≥2× bound), trace-emit ns/event, serial vs
+#   - bench_perf — event-queue throughput, trace-emit ns/event, serial vs
 #     parallel sweep scaling + determinism, and the obs / obs+live session
 #     overhead fractions — written to BENCH_perf.json at the repo root.
 #
