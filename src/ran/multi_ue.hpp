@@ -111,6 +111,8 @@ class MultiUeUplink {
   /// ahead of the attached UEs; `CrossTraffic::Idle` draws nothing.
   MultiUeUplink(sim::Simulator& sim, RanConfig config, std::uint32_t cell_tag,
                 CrossTraffic cross_traffic);
+  MultiUeUplink(const MultiUeUplink&) = delete;  // the slot timer holds `this`
+  MultiUeUplink& operator=(const MultiUeUplink&) = delete;
 
   /// Starts the slot clock (idempotent). Slots stay on the epoch-aligned
   /// UL grid, so every cell in a world ticks the same instants.

@@ -2,8 +2,9 @@
 //
 // A Cell is an Entity that owns a radio-access model for the UEs
 // currently attached to it. The stock implementation (`MakeNrCell`)
-// wraps `ran::MultiUeUplink` — the paper's 5G cell generalized to a
-// contending population. EXTENDING.md describes how to add other cell
+// wraps `ran::MultiUeUplink` — the same uplink slot machine a single
+// session runs, here hosting a contending population with each UE on its
+// own grant policy. EXTENDING.md describes how to add other cell
 // types (Wi-Fi AP, satellite beam, …): implement this interface, keep
 // the mailbox choreography, and the engine, digest, handover and fleet
 // machinery work unchanged.
