@@ -42,10 +42,9 @@ MultiUeUplink::AttachedUe& MultiUeUplink::Attached(std::uint32_t ue, const char*
 void MultiUeUplink::AttachUe(std::uint32_t ue, UeRadioState state,
                              std::unique_ptr<GrantPolicy> policy) {
   ATHENA_CHECK(ues_.count(ue) == 0, "MultiUeUplink::AttachUe: UE already attached");
-  ues_.emplace(ue, AttachedUe{.id = ue,
-                              .radio = std::move(state),
-                              .policy = policy ? std::move(policy)
-                                               : std::make_unique<BsrGrantPolicy>(config_)});
+  if (!policy) policy = std::make_unique<BsrGrantPolicy>(config_);
+  ues_.emplace(std::piecewise_construct, std::forward_as_tuple(ue),
+               std::forward_as_tuple(ue, std::move(state), std::move(policy)));
 }
 
 UeRadioState MultiUeUplink::DetachUe(std::uint32_t ue) {

@@ -74,11 +74,11 @@ struct UeDeliveryState {
 /// the sharded world ships it through a mailbox on handover.
 struct UeRadioState {
   ChannelModel channel{ChannelModel::Config{}, sim::Rng{1}};
-  std::deque<UeQueuedPacket> queue;
-  std::unordered_map<net::PacketId, UeDeliveryState> in_flight;
+  std::deque<UeQueuedPacket> queue{};
+  std::unordered_map<net::PacketId, UeDeliveryState> in_flight{};
   /// The UE's control-channel telemetry stream, accumulated across every
   /// cell it visits (slot-time ordered: handover is one-way in time).
-  std::vector<TbRecord> telemetry;
+  std::vector<TbRecord> telemetry{};
 
   // --- conservation ledger ---
   std::uint64_t offered = 0;    ///< packets handed to SendFromUe

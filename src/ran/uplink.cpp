@@ -7,9 +7,7 @@ namespace athena::ran {
 RanUplink::RanUplink(sim::Simulator& sim, RanConfig config, ChannelModel channel,
                      CrossTraffic cross_traffic, std::unique_ptr<GrantPolicy> policy)
     : sim_(sim), cell_(sim, config, /*cell_tag=*/0, std::move(cross_traffic)) {
-  UeRadioState radio;
-  radio.channel = channel;
-  cell_.AttachUe(kUe, std::move(radio), std::move(policy));
+  cell_.AttachUe(kUe, UeRadioState{.channel = std::move(channel)}, std::move(policy));
   cell_.set_deliver_sink([this](std::uint32_t, const net::Packet& pkt, sim::TimePoint,
                                 sim::TimePoint enqueued_at) {
     sim_.ScheduleAfter(cell_.config().gnb_to_core_delay, [this, pkt, enqueued_at] {
