@@ -172,7 +172,7 @@ class MultiUeUplink {
   };
 
   /// An attached UE: the radio state that travels, the policy that does
-  /// not, and this slot's scratch.
+  /// not, and the state of the slot in progress.
   struct AttachedUe {
     std::uint32_t id = 0;
     UeRadioState radio;
