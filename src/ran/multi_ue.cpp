@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <tuple>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
