@@ -24,14 +24,10 @@
 #include "obs/fleet/summary.hpp"
 #include "sim/random.hpp"
 #include "sim/runner.hpp"
+#include "sim/wall_clock.hpp"
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double SecondsSince(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
 
 // A synthetic but realistically shaped summary: ~600 packet samples across
 // the delay decomposition plus the session scalars, varied by seed so the
@@ -128,34 +124,34 @@ int main(int argc, char** argv) {
   for (std::uint64_t i = 0; i < kSessions; ++i) population.push_back(MakeSummary(i));
 
   // --- fold throughput: sequential aggregation + SLO evaluation ---
-  auto t0 = Clock::now();
+  auto t0 = sim::WallClock::now();
   obs::fleet::FleetAggregator sequential;
   obs::fleet::SloEngine slos;
   for (const auto& s : population) {
     sequential.Fold(s);
     slos.Observe(s);
   }
-  const double fold_secs = SecondsSince(t0);
+  const double fold_secs = sim::SecondsSince(t0);
   const double fold_rate = static_cast<double>(kSessions) / fold_secs;
   std::cout << "fold: " << fold_rate / 1e3 << " K sessions/s ("
             << kSessions << " sessions, " << fold_secs * 1e3 << " ms)\n";
 
   // --- sharded merge: the --jobs N shape ---
-  t0 = Clock::now();
+  t0 = sim::WallClock::now();
   std::vector<obs::fleet::FleetAggregator> shards(kShards);
   for (std::size_t i = 0; i < population.size(); ++i) {
     shards[i % kShards].Fold(population[i]);
   }
   obs::fleet::FleetAggregator merged;
   for (const auto& shard : shards) merged.Merge(shard);
-  const double merge_secs = SecondsSince(t0);
+  const double merge_secs = sim::SecondsSince(t0);
   std::cout << "sharded fold+merge (" << kShards << " shards): "
             << static_cast<double>(kSessions) / merge_secs / 1e3 << " K sessions/s\n";
 
   // --- report build + serialize ---
-  t0 = Clock::now();
+  t0 = sim::WallClock::now();
   const std::string report_bytes = ReportBytes(sequential, slos);
-  const double report_secs = SecondsSince(t0);
+  const double report_secs = sim::SecondsSince(t0);
   std::cout << "report: " << report_bytes.size() << " bytes in "
             << report_secs * 1e3 << " ms\n";
 
@@ -183,12 +179,12 @@ int main(int argc, char** argv) {
   sample.push_back(*fault::FindScenario(catalog, "telemetry_drop"));
   const std::size_t seeds = smoke ? 1 : 2;
 
-  t0 = Clock::now();
+  t0 = sim::WallClock::now();
   const auto plain = fault::RunChaosMatrix(sample, 42, seeds, 2, /*summarize=*/false);
-  const double plain_secs = SecondsSince(t0);
-  t0 = Clock::now();
+  const double plain_secs = sim::SecondsSince(t0);
+  t0 = sim::WallClock::now();
   const auto summarized = fault::RunChaosMatrix(sample, 42, seeds, 2, /*summarize=*/true);
-  const double summarize_secs = SecondsSince(t0);
+  const double summarize_secs = sim::SecondsSince(t0);
   const double overhead =
       plain_secs > 0.0 ? (summarize_secs - plain_secs) / plain_secs : 0.0;
   std::cout << "chaos matrix (" << plain.outcomes.size() << " runs): plain "

@@ -18,14 +18,10 @@
 #include "fault/chaos.hpp"
 #include "fault/mitigation_chaos.hpp"
 #include "sim/time.hpp"
+#include "sim/wall_clock.hpp"
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double SecondsSince(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
 
 std::string MatrixBytes(const athena::fault::MitigationMatrixResult& result,
                         std::size_t seeds, athena::sim::Duration budget) {
@@ -60,20 +56,20 @@ int main(int argc, char** argv) {
     scenarios = std::move(subset);
   }
 
-  auto t0 = Clock::now();
+  auto t0 = athena::sim::WallClock::now();
   const fault::MitigationMatrixResult matrix =
       fault::RunMitigationMatrix(scenarios, 42, seeds, 8, budget);
-  const double matrix_secs = SecondsSince(t0);
+  const double matrix_secs = athena::sim::SecondsSince(t0);
 
   fault::RenderMitigationTable(std::cout, matrix);
   std::cout << matrix.outcomes.size() << " on/off pairs in " << matrix_secs * 1e3
             << " ms\n";
 
   // Byte-identity across job counts: the determinism half of the gate.
-  t0 = Clock::now();
+  t0 = athena::sim::WallClock::now();
   const fault::MitigationMatrixResult sequential =
       fault::RunMitigationMatrix(scenarios, 42, seeds, 1, budget);
-  const double sequential_secs = SecondsSince(t0);
+  const double sequential_secs = athena::sim::SecondsSince(t0);
   const bool jobs_identical =
       MatrixBytes(matrix, seeds, budget) == MatrixBytes(sequential, seeds, budget);
   std::cout << "jobs 8 vs 1: " << (jobs_identical ? "byte-identical" : "DIVERGED")

@@ -290,14 +290,6 @@ net::PacketHandler FaultInjector::Wrap(sim::Simulator& sim, net::PacketHandler n
 // InputDigest — FNV-1a over every field the correlator consumes.
 // ---------------------------------------------------------------------------
 
-void InputDigest::Mix(std::uint64_t v) {
-  // FNV-1a, one byte at a time (byte-order independent across platforms).
-  for (int i = 0; i < 8; ++i) {
-    hash_ ^= (v >> (i * 8)) & 0xffu;
-    hash_ *= 0x100000001b3ULL;
-  }
-}
-
 void InputDigest::Mix(const std::vector<ran::TbRecord>& records) {
   Mix(records.size());
   for (const auto& r : records) {

@@ -21,6 +21,7 @@
 #include "net/packet.hpp"
 #include "ran/types.hpp"
 #include "resilience/supervisor.hpp"
+#include "sim/digest.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
@@ -199,17 +200,18 @@ class FaultInjector {
 /// correlator input (FNV-1a over every field the correlator consumes).
 /// Two impaired runs are "byte-identical" iff their digests match — the
 /// reproducibility invariant `run_chaos_matrix.sh` checks across
-/// --jobs=1/8.
+/// --jobs=1/8. Unlike resilience::StateDigest it leaves out the ICMP
+/// probe sequence; the digests recorded in BENCH_chaos.json depend on it.
 class InputDigest {
  public:
-  void Mix(std::uint64_t v);
+  void Mix(std::uint64_t v) { fnv_.MixU64(v); }
   void Mix(const std::vector<ran::TbRecord>& records);
   void Mix(const std::vector<net::CaptureRecord>& records);
 
-  [[nodiscard]] std::uint64_t value() const { return hash_; }
+  [[nodiscard]] std::uint64_t value() const { return fnv_.value(); }
 
  private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
+  sim::Fnv1a fnv_;
 };
 
 }  // namespace athena::fault

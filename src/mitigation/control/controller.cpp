@@ -23,14 +23,6 @@ constexpr std::size_t Index(Knob knob) { return static_cast<std::size_t>(knob); 
 /// 1, mask gain 0, pacing off — i.e. exactly the un-mitigated session.
 constexpr double kBaseline[kKnobCount] = {0.0, 1.0, 0.0, 0.0};
 
-std::uint64_t MixFnv(std::uint64_t hash, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    hash ^= (v >> (i * 8)) & 0xFF;
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
 }  // namespace
 
 const char* ToString(Knob knob) {
@@ -329,28 +321,25 @@ void MitigationController::Revert(Knob knob, sim::TimePoint now, const char* why
 
 void MitigationController::Record(DecisionRecord record) {
   if (ledger_.size() < kMaxLedgerEntries) ledger_.push_back(record);
-  digest_ = MixFnv(digest_, static_cast<std::uint64_t>(record.at.us()));
-  digest_ = MixFnv(digest_, static_cast<std::uint64_t>(record.trigger));
-  digest_ = MixFnv(digest_, std::bit_cast<std::uint64_t>(record.confidence));
-  digest_ = MixFnv(digest_, static_cast<std::uint64_t>(record.knob));
-  digest_ = MixFnv(digest_, std::bit_cast<std::uint64_t>(record.from));
-  digest_ = MixFnv(digest_, std::bit_cast<std::uint64_t>(record.to));
-  digest_ = MixFnv(digest_, static_cast<std::uint64_t>(record.outcome));
-  digest_ = MixFnv(digest_, static_cast<std::uint64_t>(record.sense_to_act.count()));
-  for (const char* c = record.why; *c != '\0'; ++c) {
-    digest_ ^= static_cast<std::uint8_t>(*c);
-    digest_ *= 0x100000001b3ULL;
-  }
+  digest_.MixU64(static_cast<std::uint64_t>(record.at.us()));
+  digest_.MixU64(static_cast<std::uint64_t>(record.trigger));
+  digest_.MixU64(std::bit_cast<std::uint64_t>(record.confidence));
+  digest_.MixU64(static_cast<std::uint64_t>(record.knob));
+  digest_.MixU64(std::bit_cast<std::uint64_t>(record.from));
+  digest_.MixU64(std::bit_cast<std::uint64_t>(record.to));
+  digest_.MixU64(static_cast<std::uint64_t>(record.outcome));
+  digest_.MixU64(static_cast<std::uint64_t>(record.sense_to_act.count()));
+  digest_.MixChars(record.why);
 }
 
-std::uint64_t MitigationController::LedgerDigest() const { return digest_; }
+std::uint64_t MitigationController::LedgerDigest() const { return digest_.value(); }
 
 void MitigationController::RenderLedger(std::ostream& os) const {
   os << "mitigation decision ledger: decisions=" << ledger_.size()
      << " actuations=" << actuations_ << " reverts=" << reverts_
      << " guardrail_blocks=" << guardrail_blocks_
      << " max_sense_to_act_us=" << max_sense_to_act_.count() << " digest=0x" << std::hex
-     << digest_ << std::dec << "\n";
+     << digest_.value() << std::dec << "\n";
   for (const DecisionRecord& r : ledger_) {
     os << "  t=" << r.at.us() << "us trigger=" << obs::live::SlugFor(r.trigger)
        << " conf=" << std::fixed << std::setprecision(2) << r.confidence

@@ -33,6 +33,7 @@
 
 #include "obs/live/anomaly.hpp"
 #include "ran/types.hpp"
+#include "sim/digest.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
 
@@ -215,7 +216,7 @@ class MitigationController {
   bool correlation_degraded_ = false;
 
   std::vector<DecisionRecord> ledger_;
-  std::uint64_t digest_ = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
+  sim::Fnv1a digest_;
   std::uint64_t actuations_ = 0;
   std::uint64_t reverts_ = 0;
   std::uint64_t guardrail_blocks_ = 0;

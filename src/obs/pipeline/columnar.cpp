@@ -1,10 +1,12 @@
 #include "obs/pipeline/columnar.hpp"
 
-#include <cstring>
+#include <bit>
 #include <istream>
 #include <memory>
 #include <ostream>
 #include <stdexcept>
+
+#include "sim/bytes.hpp"
 
 namespace athena::obs::pipeline {
 namespace {
@@ -14,155 +16,42 @@ constexpr std::uint8_t kKeyDictKind = 2;
 constexpr std::uint8_t kEventsKind = 3;
 constexpr std::uint8_t kFooterKind = 4;
 
-std::uint64_t Fnv1a(const std::uint8_t* data, std::size_t len) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= data[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+constexpr std::string_view kWhat{"ATHC"};
+constexpr std::size_t kFileHeaderBytes = sizeof kColumnarMagic + 4;
+constexpr std::size_t kBlockHeaderBytes = 4 + 8;  // after the kind byte
+// Smallest encodings, for checking the counts a block declares: a dict
+// entry is two varints; an event is three u8 columns and four varints.
+constexpr std::size_t kMinDictEntryBytes = 2;
+constexpr std::size_t kMinEventBytes = 7;
+
+using Reader = sim::ByteReader<std::runtime_error>;
+
+std::span<const std::uint8_t> AsBytes(std::string_view s) {
+  return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};
 }
 
-// --- LEB128 varints, zigzag for signed ---
-
-void PutVarint(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  while (v >= 0x80) {
-    out.push_back(static_cast<std::uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  out.push_back(static_cast<std::uint8_t>(v));
-}
-
-std::uint64_t Zigzag(std::int64_t v) {
-  return (static_cast<std::uint64_t>(v) << 1) ^ static_cast<std::uint64_t>(v >> 63);
-}
-
-std::int64_t Unzigzag(std::uint64_t v) {
-  return static_cast<std::int64_t>(v >> 1) ^ -static_cast<std::int64_t>(v & 1);
-}
-
-void PutSigned(std::vector<std::uint8_t>& out, std::int64_t v) {
-  PutVarint(out, Zigzag(v));
-}
-
-void PutBytes(std::vector<std::uint8_t>& out, const void* data, std::size_t len) {
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  out.insert(out.end(), p, p + len);
-}
-
-/// Bounds-checked decode cursor over one block payload.
-struct Cursor {
-  const std::uint8_t* p;
-  const std::uint8_t* end;
-
-  [[nodiscard]] bool done() const { return p == end; }
-
-  std::uint8_t U8() {
-    if (p == end) throw std::runtime_error("ATHC: truncated block payload");
-    return *p++;
-  }
-
-  std::uint64_t Varint() {
-    std::uint64_t v = 0;
-    int shift = 0;
-    for (;;) {
-      if (p == end) throw std::runtime_error("ATHC: truncated varint");
-      const std::uint8_t b = *p++;
-      if (shift >= 64) throw std::runtime_error("ATHC: varint overflow");
-      v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-      if ((b & 0x80) == 0) return v;
-      shift += 7;
-    }
-  }
-
-  std::int64_t Signed() { return Unzigzag(Varint()); }
-
-  void Raw(void* out, std::size_t len) {
-    if (static_cast<std::size_t>(end - p) < len) {
-      throw std::runtime_error("ATHC: truncated block payload");
-    }
-    std::memcpy(out, p, len);
-    p += len;
-  }
-
-  std::string Str() {
-    const std::uint64_t len = Varint();
-    if (static_cast<std::uint64_t>(end - p) < len) {
-      throw std::runtime_error("ATHC: truncated string");
-    }
-    std::string s(reinterpret_cast<const char*>(p), len);
-    p += len;
-    return s;
-  }
-};
-
-// --- little-endian fixed-width stream IO ---
-
-void WriteU32(std::ostream& os, std::uint32_t v) {
-  char b[4] = {static_cast<char>(v), static_cast<char>(v >> 8),
-               static_cast<char>(v >> 16), static_cast<char>(v >> 24)};
-  os.write(b, 4);
-}
-
-void WriteU64(std::ostream& os, std::uint64_t v) {
-  char b[8];
-  for (int i = 0; i < 8; ++i) b[i] = static_cast<char>(v >> (8 * i));
-  os.write(b, 8);
-}
-
-std::uint32_t ReadU32(std::istream& is) {
-  unsigned char b[4];
-  is.read(reinterpret_cast<char*>(b), 4);
-  if (!is) throw std::runtime_error("ATHC: truncated header field");
-  return static_cast<std::uint32_t>(b[0]) | static_cast<std::uint32_t>(b[1]) << 8 |
-         static_cast<std::uint32_t>(b[2]) << 16 | static_cast<std::uint32_t>(b[3]) << 24;
-}
-
-std::uint64_t ReadU64(std::istream& is) {
-  unsigned char b[8];
-  is.read(reinterpret_cast<char*>(b), 8);
-  if (!is) throw std::runtime_error("ATHC: truncated header field");
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(b[i]) << (8 * i);
-  return v;
+void Put(std::ostream& os, std::span<const std::uint8_t> bytes) {
+  os.write(reinterpret_cast<const char*>(bytes.data()),
+           static_cast<std::streamsize>(bytes.size()));
 }
 
 }  // namespace
 
 // --- EventStreamDigest ---
 
-void EventStreamDigest::Mix(const void* data, std::size_t len) {
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    h_ ^= p[i];
-    h_ *= 0x100000001b3ULL;
-  }
-}
-
-void EventStreamDigest::MixU64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h_ ^= static_cast<std::uint8_t>(v >> (8 * i));
-    h_ *= 0x100000001b3ULL;
-  }
-}
-
 void EventStreamDigest::Add(const TraceEvent& event) {
   const std::string name = event.name_text();
-  MixU64(name.size());
-  Mix(name.data(), name.size());
-  MixU64(static_cast<std::uint64_t>(event.phase));
-  MixU64(static_cast<std::uint64_t>(event.layer));
-  MixU64(static_cast<std::uint64_t>(event.ts.us()));
-  MixU64(static_cast<std::uint64_t>(event.dur.count()));
-  MixU64(event.id);
-  MixU64(event.arg_count);
+  fnv_.MixU64(name.size()).MixChars(name);
+  fnv_.MixU64(static_cast<std::uint64_t>(event.phase));
+  fnv_.MixU64(static_cast<std::uint64_t>(event.layer));
+  fnv_.MixU64(static_cast<std::uint64_t>(event.ts.us()));
+  fnv_.MixU64(static_cast<std::uint64_t>(event.dur.count()));
+  fnv_.MixU64(event.id);
+  fnv_.MixU64(event.arg_count);
   for (std::size_t i = 0; i < event.arg_count; ++i) {
-    const std::size_t klen = std::strlen(event.args[i].key);
-    MixU64(klen);
-    Mix(event.args[i].key, klen);
-    std::uint64_t bits;
-    std::memcpy(&bits, &event.args[i].value, sizeof bits);
-    MixU64(bits);
+    const std::string_view key = event.args[i].key;
+    fnv_.MixU64(key.size()).MixChars(key);
+    fnv_.MixU64(std::bit_cast<std::uint64_t>(event.args[i].value));
   }
 }
 
@@ -170,8 +59,11 @@ void EventStreamDigest::Add(const TraceEvent& event) {
 
 ColumnarWriter::ColumnarWriter(std::ostream& os) : os_(os) {
   buffer_.reserve(kBlockEvents);
-  os_.write(kColumnarMagic, sizeof kColumnarMagic);
-  WriteU32(os_, kColumnarVersion);
+  std::vector<std::uint8_t> header;
+  sim::ByteWriter w{header};
+  w.Bytes(AsBytes({kColumnarMagic, sizeof kColumnarMagic}));
+  w.U32(kColumnarVersion);
+  Put(os_, header);
 }
 
 ColumnarWriter::~ColumnarWriter() { Finish(); }
@@ -188,11 +80,13 @@ void ColumnarWriter::EmitBatch(const TraceEvent* events, std::size_t count) {
 
 void ColumnarWriter::WriteBlock(std::uint8_t kind,
                                 const std::vector<std::uint8_t>& payload) {
-  os_.put(static_cast<char>(kind));
-  WriteU32(os_, static_cast<std::uint32_t>(payload.size()));
-  WriteU64(os_, Fnv1a(payload.data(), payload.size()));
-  os_.write(reinterpret_cast<const char*>(payload.data()),
-            static_cast<std::streamsize>(payload.size()));
+  std::vector<std::uint8_t> header;
+  sim::ByteWriter w{header};
+  w.U8(kind);
+  w.U32(static_cast<std::uint32_t>(payload.size()));
+  w.U64(sim::Fnv1aOf(payload));
+  Put(os_, header);
+  Put(os_, payload);
   ++blocks_written_;
 }
 
@@ -209,25 +103,22 @@ void ColumnarWriter::EmitDictionaries() {
       if (inserted) new_keys.emplace_back(it->second, it->first.c_str());
     }
   }
+  sim::ByteWriter w{payload_};
   if (!new_names.empty()) {
     payload_.clear();
-    PutVarint(payload_, new_names.size());
+    w.Varint(new_names.size());
     for (NameId id : new_names) {
-      const std::string text = TraceNameRegistry::Instance().NameOf(id);
-      PutVarint(payload_, id);
-      PutVarint(payload_, text.size());
-      PutBytes(payload_, text.data(), text.size());
+      w.Varint(id);
+      w.Str(TraceNameRegistry::Instance().NameOf(id));
     }
     WriteBlock(kNameDictKind, payload_);
   }
   if (!new_keys.empty()) {
     payload_.clear();
-    PutVarint(payload_, new_keys.size());
+    w.Varint(new_keys.size());
     for (const auto& [id, text] : new_keys) {
-      const std::size_t len = std::strlen(text);
-      PutVarint(payload_, id);
-      PutVarint(payload_, len);
-      PutBytes(payload_, text, len);
+      w.Varint(id);
+      w.Str(text);
     }
     WriteBlock(kKeyDictKind, payload_);
   }
@@ -238,40 +129,33 @@ void ColumnarWriter::FlushBlock() {
   EmitDictionaries();
 
   payload_.clear();
+  sim::ByteWriter w{payload_};
   const std::size_t n = buffer_.size();
-  PutVarint(payload_, n);
-  PutSigned(payload_, buffer_.front().ts.us());
+  w.Varint(n);
+  w.Signed(buffer_.front().ts.us());
 
-  for (const TraceEvent& e : buffer_) {
-    payload_.push_back(static_cast<std::uint8_t>(e.phase));
-  }
-  for (const TraceEvent& e : buffer_) {
-    payload_.push_back(static_cast<std::uint8_t>(e.layer));
-  }
-  for (const TraceEvent& e : buffer_) payload_.push_back(e.arg_count);
-  for (const TraceEvent& e : buffer_) PutVarint(payload_, e.name);
+  for (const TraceEvent& e : buffer_) w.U8(static_cast<std::uint8_t>(e.phase));
+  for (const TraceEvent& e : buffer_) w.U8(static_cast<std::uint8_t>(e.layer));
+  for (const TraceEvent& e : buffer_) w.U8(e.arg_count);
+  for (const TraceEvent& e : buffer_) w.Varint(e.name);
   std::int64_t prev_ts = buffer_.front().ts.us();
   bool first = true;
   for (const TraceEvent& e : buffer_) {
     // First delta is vs base_ts (== its own ts), i.e. zero: one byte.
-    PutSigned(payload_, e.ts.us() - (first ? e.ts.us() : prev_ts));
+    w.Signed(e.ts.us() - (first ? e.ts.us() : prev_ts));
     prev_ts = e.ts.us();
     first = false;
   }
-  for (const TraceEvent& e : buffer_) PutSigned(payload_, e.dur.count());
+  for (const TraceEvent& e : buffer_) w.Signed(e.dur.count());
   std::uint64_t prev_id = 0;
   for (const TraceEvent& e : buffer_) {
-    PutSigned(payload_, static_cast<std::int64_t>(e.id - prev_id));
+    w.Signed(static_cast<std::int64_t>(e.id - prev_id));
     prev_id = e.id;
   }
   for (const TraceEvent& e : buffer_) {
     for (std::size_t i = 0; i < e.arg_count; ++i) {
-      PutVarint(payload_, key_ids_.find(e.args[i].key)->second);
-      std::uint64_t bits;
-      std::memcpy(&bits, &e.args[i].value, sizeof bits);
-      std::uint8_t raw[8];
-      for (int b = 0; b < 8; ++b) raw[b] = static_cast<std::uint8_t>(bits >> (8 * b));
-      PutBytes(payload_, raw, 8);
+      w.Varint(key_ids_.find(e.args[i].key)->second);
+      w.U64(std::bit_cast<std::uint64_t>(e.args[i].value));
     }
   }
 
@@ -285,12 +169,9 @@ void ColumnarWriter::Finish() {
   finished_ = true;
   FlushBlock();
   payload_.clear();
-  PutVarint(payload_, events_written_);
-  std::uint8_t raw[8];
-  for (int b = 0; b < 8; ++b) {
-    raw[b] = static_cast<std::uint8_t>(digest_.value() >> (8 * b));
-  }
-  PutBytes(payload_, raw, 8);
+  sim::ByteWriter w{payload_};
+  w.Varint(events_written_);
+  w.U64(digest_.value());
   WriteBlock(kFooterKind, payload_);
   os_.flush();
 }
@@ -298,30 +179,25 @@ void ColumnarWriter::Finish() {
 // --- ColumnarReader ---
 
 ColumnarReader::ColumnarReader(std::istream& is) : is_(is) {
-  char magic[4];
-  is_.read(magic, 4);
-  if (!is_ || std::memcmp(magic, kColumnarMagic, 4) != 0) {
-    throw std::runtime_error("ATHC: bad magic (not a columnar trace)");
-  }
-  const std::uint32_t version = ReadU32(is_);
-  if (version != kColumnarVersion) {
-    throw std::runtime_error("ATHC: unsupported version " + std::to_string(version));
-  }
+  std::vector<std::uint8_t> header;
+  sim::ReadExactly<std::runtime_error>(is_, kFileHeaderBytes, header, kWhat);
+  Reader r{header, kWhat};
+  r.ExpectMagic({kColumnarMagic, sizeof kColumnarMagic});
+  const std::uint32_t version = r.U32();
+  if (version != kColumnarVersion) r.Fail("unsupported version " + std::to_string(version));
 }
 
 std::uint8_t ColumnarReader::ReadBlock(std::vector<std::uint8_t>& payload) {
   const int kind_ch = is_.get();
   if (kind_ch == std::istream::traits_type::eof()) return 0;
-  const auto kind = static_cast<std::uint8_t>(kind_ch);
-  const std::uint32_t bytes = ReadU32(is_);
-  const std::uint64_t checksum = ReadU64(is_);
-  payload.resize(bytes);
-  is_.read(reinterpret_cast<char*>(payload.data()), bytes);
-  if (!is_) throw std::runtime_error("ATHC: truncated block");
-  if (Fnv1a(payload.data(), payload.size()) != checksum) {
-    throw std::runtime_error("ATHC: block checksum mismatch (corrupt trace)");
-  }
-  return kind;
+  std::vector<std::uint8_t> header;
+  sim::ReadExactly<std::runtime_error>(is_, kBlockHeaderBytes, header, kWhat);
+  Reader r{header, kWhat};
+  const std::uint32_t bytes = r.U32();
+  const std::uint64_t checksum = r.U64();
+  sim::ReadExactly<std::runtime_error>(is_, bytes, payload, kWhat);
+  if (sim::Fnv1aOf(payload) != checksum) r.Fail("block checksum mismatch (corrupt trace)");
+  return static_cast<std::uint8_t>(kind_ch);
 }
 
 bool ColumnarReader::NextBlock(std::vector<TraceEvent>& out) {
@@ -330,19 +206,19 @@ bool ColumnarReader::NextBlock(std::vector<TraceEvent>& out) {
   for (;;) {
     const std::uint8_t kind = ReadBlock(payload);
     if (kind == 0) return false;  // clean EOF (footer-less streams still read)
-    Cursor c{payload.data(), payload.data() + payload.size()};
+    Reader c{payload, kWhat};
     switch (kind) {
       case kNameDictKind: {
-        const std::uint64_t count = c.Varint();
-        for (std::uint64_t i = 0; i < count; ++i) {
+        const std::size_t count = c.Count(c.Varint(), kMinDictEntryBytes);
+        for (std::size_t i = 0; i < count; ++i) {
           const auto file_id = static_cast<std::uint32_t>(c.Varint());
           names_[file_id] = TraceNameRegistry::Instance().Intern(c.Str());
         }
         break;
       }
       case kKeyDictKind: {
-        const std::uint64_t count = c.Varint();
-        for (std::uint64_t i = 0; i < count; ++i) {
+        const std::size_t count = c.Count(c.Varint(), kMinDictEntryBytes);
+        for (std::size_t i = 0; i < count; ++i) {
           const auto file_id = static_cast<std::uint32_t>(c.Varint());
           key_storage_.push_back(std::make_unique<std::string>(c.Str()));
           keys_[file_id] = key_storage_.back()->c_str();
@@ -350,23 +226,23 @@ bool ColumnarReader::NextBlock(std::vector<TraceEvent>& out) {
         break;
       }
       case kEventsKind: {
-        const std::uint64_t n = c.Varint();
+        const std::size_t n = c.Count(c.Varint(), kMinEventBytes);
         const std::int64_t base_ts = c.Signed();
         out.resize(n);
         for (auto& e : out) e.phase = static_cast<TraceEvent::Phase>(c.U8());
         for (auto& e : out) {
           const std::uint8_t layer = c.U8();
-          if (layer >= kLayerCount) throw std::runtime_error("ATHC: bad layer");
+          if (layer >= kLayerCount) c.Fail("bad layer");
           e.layer = static_cast<Layer>(layer);
         }
         for (auto& e : out) {
           e.arg_count = c.U8();
-          if (e.arg_count > e.args.size()) throw std::runtime_error("ATHC: bad arg count");
+          if (e.arg_count > e.args.size()) c.Fail("bad arg count");
         }
         for (auto& e : out) {
           const auto file_id = static_cast<std::uint32_t>(c.Varint());
           const auto it = names_.find(file_id);
-          if (it == names_.end()) throw std::runtime_error("ATHC: undefined name id");
+          if (it == names_.end()) c.Fail("undefined name id");
           e.name = it->second;
         }
         std::int64_t ts = base_ts;
@@ -387,34 +263,23 @@ bool ColumnarReader::NextBlock(std::vector<TraceEvent>& out) {
           for (std::size_t i = 0; i < e.arg_count; ++i) {
             const auto key_id = static_cast<std::uint32_t>(c.Varint());
             const auto it = keys_.find(key_id);
-            if (it == keys_.end()) throw std::runtime_error("ATHC: undefined key id");
-            std::uint8_t raw[8];
-            c.Raw(raw, 8);
-            std::uint64_t bits = 0;
-            for (int b = 0; b < 8; ++b) bits |= static_cast<std::uint64_t>(raw[b]) << (8 * b);
-            double value;
-            std::memcpy(&value, &bits, sizeof value);
-            e.args[i] = TraceArg{it->second, value};
+            if (it == keys_.end()) c.Fail("undefined key id");
+            e.args[i] = TraceArg{it->second, std::bit_cast<double>(c.U64())};
           }
         }
-        if (!c.done()) throw std::runtime_error("ATHC: trailing bytes in events block");
+        c.ExpectEnd();
         for (const TraceEvent& e : out) digest_.Add(e);
         events_read_ += n;
         return true;
       }
       case kFooterKind: {
         footer_.event_count = c.Varint();
-        std::uint8_t raw[8];
-        c.Raw(raw, 8);
-        footer_.digest = 0;
-        for (int b = 0; b < 8; ++b) {
-          footer_.digest |= static_cast<std::uint64_t>(raw[b]) << (8 * b);
-        }
+        footer_.digest = c.U64();
         footer_.present = true;
         return false;
       }
       default:
-        throw std::runtime_error("ATHC: unknown block kind " + std::to_string(kind));
+        c.Fail("unknown block kind " + std::to_string(kind));
     }
   }
 }

@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "obs/trace.hpp"
+#include "sim/digest.hpp"
 
 namespace athena::obs::pipeline {
 
@@ -55,13 +56,10 @@ inline constexpr std::uint32_t kColumnarVersion = 1;
 class EventStreamDigest {
  public:
   void Add(const TraceEvent& event);
-  [[nodiscard]] std::uint64_t value() const { return h_; }
+  [[nodiscard]] std::uint64_t value() const { return fnv_.value(); }
 
  private:
-  void Mix(const void* data, std::size_t len);
-  void MixU64(std::uint64_t v);
-
-  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+  sim::Fnv1a fnv_;
 };
 
 /// Streaming writer. Feed it events (any phase mix, any order — order is

@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <ostream>
 
+#include "sim/digest.hpp"
+
 namespace athena::obs::prom {
 namespace {
 
@@ -40,12 +42,7 @@ void WriteHeader(std::ostream& os, std::string_view name, std::string_view type,
 }
 
 std::uint64_t NameShard(std::string_view name) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (char c : name) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+  return sim::Fnv1a{}.MixChars(name).value();
 }
 
 }  // namespace athena::obs::prom

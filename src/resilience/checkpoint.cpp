@@ -1,13 +1,12 @@
 #include "resilience/checkpoint.hpp"
 
-#include <cstring>
-#include <fstream>
 #include <optional>
 #include <sstream>
 
 #include "core/report.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "sim/bytes.hpp"
 #include "sim/simulator.hpp"
 
 namespace athena::resilience {
@@ -16,21 +15,7 @@ namespace athena::resilience {
 // StateDigest
 // ---------------------------------------------------------------------------
 
-void StateDigest::Mix(std::uint64_t v) {
-  // FNV-1a one byte at a time: byte-order independent across platforms.
-  for (int i = 0; i < 8; ++i) {
-    hash_ ^= (v >> (i * 8)) & 0xffu;
-    hash_ *= 0x100000001b3ULL;
-  }
-}
-
-void StateDigest::Mix(std::string_view s) {
-  Mix(static_cast<std::uint64_t>(s.size()));
-  for (const char c : s) {
-    hash_ ^= static_cast<unsigned char>(c);
-    hash_ *= 0x100000001b3ULL;
-  }
-}
+void StateDigest::Mix(std::string_view s) { fnv_.MixU64(s.size()).MixChars(s); }
 
 void StateDigest::Mix(const std::vector<ran::TbRecord>& records) {
   Mix(records.size());
@@ -114,77 +99,20 @@ std::uint64_t ConfigFingerprint(const app::SessionConfig& config) {
 // Binary format
 // ---------------------------------------------------------------------------
 //
-//   [0..8)    magic "ATHCKPT\n"
-//   [8..12)   u32 version
-//   [12..16)  u32 reserved (0)
-//   ...       header fields (fixed-width little-endian)
-//   ...       record payload (telemetry, sender, core, receiver)
-//   [-8..)    u64 FNV-1a checksum over every preceding byte
-//
-// All integers are written little-endian byte-by-byte, so the file is
-// identical across platforms and never depends on struct layout.
+// A sim/bytes.hpp frame with magic "ATHCKPT\n" around:
+//   header fields (fixed-width little-endian), then the record payload
+//   (telemetry, sender, core, receiver).
 
 namespace {
 
-constexpr char kMagic[8] = {'A', 'T', 'H', 'C', 'K', 'P', 'T', '\n'};
+constexpr std::string_view kMagic{"ATHCKPT\n"};
+constexpr std::string_view kWhat{"checkpoint"};
+// Every record is at least this long on disk: a TB record always, a
+// capture record without its optional RTP/ICMP metadata.
+constexpr std::size_t kTbBytes = 8 + 8 + 8 + 1 + 4 + 4 + 1 + 1;
+constexpr std::size_t kMinCaptureBytes = 8 + 8 + 8 + 1 + 4 + 4 + 1 + 1;
 
-class Writer {
- public:
-  explicit Writer(std::vector<std::uint8_t>& out) : out_(out) {}
-
-  void U8(std::uint8_t v) { out_.push_back(v); }
-  void U16(std::uint16_t v) { Le(v, 2); }
-  void U32(std::uint32_t v) { Le(v, 4); }
-  void U64(std::uint64_t v) { Le(v, 8); }
-  void I64(std::int64_t v) { Le(static_cast<std::uint64_t>(v), 8); }
-
- private:
-  void Le(std::uint64_t v, int bytes) {
-    for (int i = 0; i < bytes; ++i) out_.push_back(static_cast<std::uint8_t>(v >> (i * 8)));
-  }
-  std::vector<std::uint8_t>& out_;
-};
-
-class Reader {
- public:
-  Reader(const std::uint8_t* data, std::size_t size) : data_(data), size_(size) {}
-
-  [[nodiscard]] std::size_t pos() const { return pos_; }
-  [[nodiscard]] std::size_t remaining() const { return size_ - pos_; }
-
-  std::uint8_t U8() { return static_cast<std::uint8_t>(Le(1)); }
-  std::uint16_t U16() { return static_cast<std::uint16_t>(Le(2)); }
-  std::uint32_t U32() { return static_cast<std::uint32_t>(Le(4)); }
-  std::uint64_t U64() { return Le(8); }
-  std::int64_t I64() { return static_cast<std::int64_t>(Le(8)); }
-
- private:
-  std::uint64_t Le(int bytes) {
-    if (pos_ + static_cast<std::size_t>(bytes) > size_) {
-      throw CheckpointError("checkpoint truncated: needed " + std::to_string(bytes) +
-                            " bytes at offset " + std::to_string(pos_) + ", file has " +
-                            std::to_string(size_));
-    }
-    std::uint64_t v = 0;
-    for (int i = 0; i < bytes; ++i) v |= static_cast<std::uint64_t>(data_[pos_++]) << (i * 8);
-    return v;
-  }
-
-  const std::uint8_t* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
-};
-
-std::uint64_t FnvOver(const std::uint8_t* data, std::size_t size) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= data[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-void WriteTb(Writer& w, const ran::TbRecord& r) {
+void WriteTb(sim::ByteWriter& w, const ran::TbRecord& r) {
   w.U64(r.tb_id);
   w.U64(r.chain_id);
   w.I64(r.slot_time.us());
@@ -195,7 +123,7 @@ void WriteTb(Writer& w, const ran::TbRecord& r) {
   w.U8(r.crc_ok ? 1 : 0);
 }
 
-ran::TbRecord ReadTb(Reader& r) {
+ran::TbRecord ReadTb(sim::ByteReader<CheckpointError>& r) {
   ran::TbRecord tb;
   tb.tb_id = r.U64();
   tb.chain_id = r.U64();
@@ -208,7 +136,7 @@ ran::TbRecord ReadTb(Reader& r) {
   return tb;
 }
 
-void WriteCapture(Writer& w, const net::CaptureRecord& r) {
+void WriteCapture(sim::ByteWriter& w, const net::CaptureRecord& r) {
   w.U64(r.packet_id);
   w.I64(r.local_ts.us());
   w.I64(r.true_ts.us());
@@ -234,7 +162,7 @@ void WriteCapture(Writer& w, const net::CaptureRecord& r) {
   }
 }
 
-net::CaptureRecord ReadCapture(Reader& r) {
+net::CaptureRecord ReadCapture(sim::ByteReader<CheckpointError>& r) {
   net::CaptureRecord c;
   c.packet_id = r.U64();
   c.local_ts = sim::TimePoint{sim::Duration{r.I64()}};
@@ -268,10 +196,8 @@ net::CaptureRecord ReadCapture(Reader& r) {
 
 void Checkpoint::Serialize(std::vector<std::uint8_t>& out) const {
   out.clear();
-  Writer w{out};
-  for (const char c : kMagic) out.push_back(static_cast<std::uint8_t>(c));
-  w.U32(kVersion);
-  w.U32(0);  // reserved
+  sim::ByteWriter w{out};
+  w.BeginFrame(kMagic, kVersion);
   w.U64(config_fingerprint);
   w.U64(seed);
   w.I64(planned_duration.count());
@@ -288,7 +214,7 @@ void Checkpoint::Serialize(std::vector<std::uint8_t>& out) const {
   for (const auto* stream : {&input.sender, &input.core, &input.receiver}) {
     for (const auto& r : *stream) WriteCapture(w, r);
   }
-  w.U64(FnvOver(out.data(), out.size()));
+  w.SealFrame();
 }
 
 std::size_t Checkpoint::SerializedBytes() const {
@@ -300,34 +226,7 @@ std::size_t Checkpoint::SerializedBytes() const {
 }
 
 Checkpoint Checkpoint::Deserialize(const std::uint8_t* data, std::size_t size) {
-  if (size < sizeof(kMagic) + 8) {
-    throw CheckpointError("checkpoint truncated: " + std::to_string(size) +
-                          " bytes is smaller than the minimal header");
-  }
-  if (std::memcmp(data, kMagic, sizeof(kMagic)) != 0) {
-    throw CheckpointError("not a checkpoint: bad magic (expected ATHCKPT)");
-  }
-  // Trailer first: any corruption anywhere — header or payload — must be
-  // caught before a single field is trusted.
-  const std::uint64_t stored_checksum =
-      Reader{data + size - 8, 8}.U64();
-  const std::uint64_t computed_checksum = FnvOver(data, size - 8);
-  if (stored_checksum != computed_checksum) {
-    std::ostringstream os;
-    os << "checkpoint corrupted: checksum mismatch (stored 0x" << std::hex
-       << stored_checksum << ", computed 0x" << computed_checksum << ")";
-    throw CheckpointError(os.str());
-  }
-
-  Reader r{data, size - 8};
-  for (std::size_t i = 0; i < sizeof(kMagic); ++i) (void)r.U8();
-  const std::uint32_t version = r.U32();
-  if (version != kVersion) {
-    throw CheckpointError("unsupported checkpoint version " + std::to_string(version) +
-                          " (this build reads version " + std::to_string(kVersion) + ")");
-  }
-  (void)r.U32();  // reserved
-
+  auto r = sim::OpenFrame<CheckpointError>({data, size}, kMagic, kVersion, kWhat);
   Checkpoint c;
   c.config_fingerprint = r.U64();
   c.seed = r.U64();
@@ -338,32 +237,18 @@ Checkpoint Checkpoint::Deserialize(const std::uint8_t* data, std::size_t size) {
   c.input.sender_offset = sim::Duration{r.I64()};
   c.input.receiver_offset = sim::Duration{r.I64()};
   const std::uint64_t n_telemetry = r.U64();
-  const std::uint64_t n_sender = r.U64();
-  const std::uint64_t n_core = r.U64();
-  const std::uint64_t n_receiver = r.U64();
-  // Counts are attacker-controlled until proven payload-backed: a TB is
-  // ≥ 28 payload bytes, so reject counts the remaining bytes cannot hold
-  // instead of reserving gigabytes on a lying header.
-  const std::uint64_t total_records = n_telemetry + n_sender + n_core + n_receiver;
-  if (total_records > r.remaining()) {
-    throw CheckpointError("checkpoint corrupted: header claims " +
-                          std::to_string(total_records) +
-                          " records but only " + std::to_string(r.remaining()) +
-                          " payload bytes remain");
-  }
-  c.input.telemetry.reserve(n_telemetry);
+  const std::uint64_t n_captures[3] = {r.U64(), r.U64(), r.U64()};
+  // Counts are attacker-controlled until proven payload-backed: each is
+  // checked against the bytes left before anything is reserved for it.
+  c.input.telemetry.reserve(r.Count(n_telemetry, kTbBytes));
   for (std::uint64_t i = 0; i < n_telemetry; ++i) c.input.telemetry.push_back(ReadTb(r));
+  std::size_t k = 0;
   for (auto* stream : {&c.input.sender, &c.input.core, &c.input.receiver}) {
-    const std::uint64_t n = stream == &c.input.sender ? n_sender
-                            : stream == &c.input.core ? n_core
-                                                      : n_receiver;
+    const std::size_t n = r.Count(n_captures[k++], kMinCaptureBytes);
     stream->reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) stream->push_back(ReadCapture(r));
+    for (std::size_t i = 0; i < n; ++i) stream->push_back(ReadCapture(r));
   }
-  if (r.remaining() != 0) {
-    throw CheckpointError("checkpoint corrupted: " + std::to_string(r.remaining()) +
-                          " trailing bytes after the last record");
-  }
+  r.ExpectEnd();
 
   // Self-check: the stored digest must match the stored records.
   StateDigest digest;
@@ -377,18 +262,11 @@ Checkpoint Checkpoint::Deserialize(const std::uint8_t* data, std::size_t size) {
 void Checkpoint::WriteFile(const std::string& path) const {
   std::vector<std::uint8_t> buf;
   Serialize(buf);
-  std::ofstream os{path, std::ios::binary | std::ios::trunc};
-  if (!os) throw CheckpointError("cannot write checkpoint file " + path);
-  os.write(reinterpret_cast<const char*>(buf.data()),
-           static_cast<std::streamsize>(buf.size()));
-  if (!os) throw CheckpointError("short write to checkpoint file " + path);
+  sim::WriteFileBytes<CheckpointError>(path, buf, kWhat);
 }
 
 Checkpoint Checkpoint::LoadFile(const std::string& path) {
-  std::ifstream is{path, std::ios::binary};
-  if (!is) throw CheckpointError("cannot read checkpoint file " + path);
-  std::vector<std::uint8_t> buf{std::istreambuf_iterator<char>(is),
-                                std::istreambuf_iterator<char>()};
+  const std::vector<std::uint8_t> buf = sim::ReadFileBytes<CheckpointError>(path, kWhat);
   return Deserialize(buf.data(), buf.size());
 }
 

@@ -32,6 +32,7 @@
 #include "app/session.hpp"
 #include "core/correlator.hpp"
 #include "resilience/overload.hpp"
+#include "sim/digest.hpp"
 #include "sim/time.hpp"
 
 namespace athena::obs {
@@ -50,20 +51,21 @@ class CheckpointError : public std::runtime_error {
 
 /// Rolling FNV-1a digest over the fields the pipeline consumes — the
 /// byte-identity witness for checkpoint verification and final-report
-/// comparison. (Deliberately self-contained: fault::InputDigest lives a
-/// dependency level above this library.)
+/// comparison. fault::InputDigest mixes the same fields minus the ICMP
+/// probe sequence; the chaos digests recorded in BENCH_chaos.json depend
+/// on that difference.
 class StateDigest {
  public:
-  void Mix(std::uint64_t v);
+  void Mix(std::uint64_t v) { fnv_.MixU64(v); }
   void Mix(std::string_view s);
   void Mix(const std::vector<ran::TbRecord>& records);
   void Mix(const std::vector<net::CaptureRecord>& records);
   void Mix(const core::CorrelatorInput& input);
 
-  [[nodiscard]] std::uint64_t value() const { return hash_; }
+  [[nodiscard]] std::uint64_t value() const { return fnv_.value(); }
 
  private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
+  sim::Fnv1a fnv_;
 };
 
 /// Digest of the SessionConfig fields that shape a run's behaviour. A

@@ -9,6 +9,7 @@
 #include "sim/barrier.hpp"
 #include "sim/check.hpp"
 #include "sim/runner.hpp"
+#include "sim/wall_clock.hpp"
 
 namespace athena::resilience {
 namespace {
@@ -16,10 +17,6 @@ namespace {
 /// Seed sub-stream for the derived crash window (disjoint from the
 /// engine's kChannelStream/kHandoverStream fan-out).
 constexpr std::uint64_t kCrashWindowStream = 3'000'000;
-
-[[nodiscard]] double SecondsSince(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-}
 
 }  // namespace
 
@@ -112,7 +109,7 @@ WorldSupervisedOutcome WorldSupervisor::Drive(const WorldFaultSpec& faults,
     if (latest) ++out.restores;
 
     world::WorldEngine engine(cfg);
-    const auto attempt_t0 = std::chrono::steady_clock::now();
+    const auto attempt_t0 = sim::WallClock::now();
     engine.set_window_hook([&](std::uint64_t k) {
       if (restore_window != 0 && k == restore_window) {
         // The restore contract: the replayed boundary must reproduce the
@@ -123,7 +120,7 @@ WorldSupervisedOutcome WorldSupervisor::Drive(const WorldFaultSpec& faults,
         if (digest != latest->state_digest || !(mailbox == latest->mailbox)) {
           throw CheckpointError(DescribeWorldDivergence(*latest, digest, mailbox));
         }
-        out.restore_replay_seconds += SecondsSince(attempt_t0);
+        out.restore_replay_seconds += sim::SecondsSince(attempt_t0);
       }
       if (options_.checkpoint_every_windows > 0 &&
           k % options_.checkpoint_every_windows == 0 && k > restore_window &&

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 
+#include "sim/wall_clock.hpp"
+
 namespace athena::sim {
 
 void Simulator::RunUntil(TimePoint deadline) {
@@ -24,7 +26,6 @@ void Simulator::RunUntil(TimePoint deadline) {
 }
 
 void Simulator::RunUntilInstrumented(TimePoint deadline) {
-  using WallClock = std::chrono::steady_clock;
   const TimePoint virtual_begin = now_;
   const auto run_start = WallClock::now();
   const std::uint64_t executed_at_entry = executed_;
@@ -56,8 +57,7 @@ void Simulator::RunUntilInstrumented(TimePoint deadline) {
   const std::uint64_t events = executed_ - executed_at_entry;
   if (profiling_) {
     profile_.events += events;
-    profile_.run_wall_seconds +=
-        std::chrono::duration<double>(WallClock::now() - run_start).count();
+    profile_.run_wall_seconds += SecondsSince(run_start);
   }
   if (events > 0) {
     for (SimHooks* h : hooks_) h->OnRunCompleted(virtual_begin, now_, events);

@@ -69,9 +69,13 @@ class ShardCrash : public std::runtime_error {
 };
 
 struct WorldResult {
-  /// FNV-1a over every session's and cell's deterministic state words,
-  /// in entity-id order. Pure simulation state — byte-identical across
-  /// shard counts and threading modes for a given (config, seed).
+  /// Multiply-xor hash over every session's and cell's deterministic
+  /// state words, in entity-id order: each whole 64-bit word is xored in
+  /// and multiplied by the FNV prime, starting from 1469598103934665603
+  /// (the FNV offset basis missing its last digit). It is not FNV-1a,
+  /// which mixes bytes; digest_pin_test and BENCH_world.json pin its
+  /// values. Pure simulation state — byte-identical across shard counts
+  /// and threading modes for a given (config, seed).
   std::uint64_t digest = 0;
 
   /// The population FleetReport (deterministic bytes via WriteJson).
@@ -132,8 +136,8 @@ class WorldEngine {
 
   // --- window-boundary introspection (hook context or post-run only) ---
 
-  /// FNV-1a over every session's and cell's deterministic state words —
-  /// the same digest Run() reports, computable at any barrier.
+  /// The world digest (WorldResult::digest) — the same value Run()
+  /// reports, computable at any barrier.
   [[nodiscard]] std::uint64_t Digest() const { return ComputeDigest(); }
 
   /// Every pending (posted, not yet delivered) mailbox message across

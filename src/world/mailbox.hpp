@@ -18,6 +18,7 @@
 
 #include "net/packet.hpp"
 #include "ran/multi_ue.hpp"
+#include "sim/digest.hpp"
 #include "sim/time.hpp"
 
 namespace athena::world {
@@ -105,26 +106,20 @@ struct MsgRecordOrder {
 /// packet identity (kUplink/kCoreDelivery) or the carried radio-state
 /// ledger (kTransfer) into one FNV-1a word.
 [[nodiscard]] inline WorldMsgRecord MakeRecord(const WorldMsg& m) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xffu;
-      h *= 0x100000001b3ULL;
-    }
-  };
-  mix(m.pkt.id);
-  mix(m.pkt.flow);
-  mix(static_cast<std::uint64_t>(m.pkt.kind));
-  mix(m.pkt.size_bytes);
-  mix(static_cast<std::uint64_t>(m.pkt.created_at.us()));
+  sim::Fnv1a h;
+  h.MixU64(m.pkt.id);
+  h.MixU64(m.pkt.flow);
+  h.MixU64(static_cast<std::uint64_t>(m.pkt.kind));
+  h.MixU64(m.pkt.size_bytes);
+  h.MixU64(static_cast<std::uint64_t>(m.pkt.created_at.us()));
   if (m.radio != nullptr) {
-    mix(m.radio->offered);
-    mix(m.radio->delivered);
-    mix(m.radio->lost);
-    mix(m.radio->in_flight.size());
-    mix(m.radio->queue.size());
-    mix(m.radio->TotalBufferBytes());
-    mix(m.radio->telemetry.size());
+    h.MixU64(m.radio->offered);
+    h.MixU64(m.radio->delivered);
+    h.MixU64(m.radio->lost);
+    h.MixU64(m.radio->in_flight.size());
+    h.MixU64(m.radio->queue.size());
+    h.MixU64(m.radio->TotalBufferBytes());
+    h.MixU64(m.radio->telemetry.size());
   }
   WorldMsgRecord r;
   r.kind = static_cast<std::uint8_t>(m.kind);
@@ -134,7 +129,7 @@ struct MsgRecordOrder {
   r.arrival_us = m.arrival.us();
   r.ue = m.ue;
   r.target_cell = m.target_cell;
-  r.payload_digest = h;
+  r.payload_digest = h.value();
   return r;
 }
 

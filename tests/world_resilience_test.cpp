@@ -15,6 +15,7 @@
 #include "fault/world_chaos.hpp"
 #include "resilience/world_checkpoint.hpp"
 #include "resilience/world_supervisor.hpp"
+#include "sim/bytes.hpp"
 #include "sim/check.hpp"
 #include "world/engine.hpp"
 
@@ -46,15 +47,6 @@ WorldSnapshot CaptureSnapshot(world::WorldConfig config, std::uint64_t window) {
   (void)engine.Run();
   EXPECT_TRUE(snapshot.has_value());
   return *snapshot;
-}
-
-std::uint64_t Fnv(const std::uint8_t* data, std::size_t size) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= data[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
 }
 
 TEST(WorldSnapshotTest, RoundTripIsByteStable) {
@@ -145,11 +137,8 @@ TEST(WorldSnapshotTest, RejectsCorruptionEverywhere) {
   // version check can reject it.
   std::vector<std::uint8_t> future = bytes;
   future[8] = static_cast<std::uint8_t>(WorldSnapshot::kVersion + 1);
-  const std::uint64_t sum = Fnv(future.data(), future.size() - 8);
-  for (int i = 0; i < 8; ++i) {
-    future[future.size() - 8 + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(sum >> (i * 8));
-  }
+  future.resize(future.size() - 8);
+  sim::ByteWriter{future}.SealFrame();
   EXPECT_THROW((void)WorldSnapshot::Deserialize(future.data(), future.size()),
                CheckpointError);
 }
