@@ -290,20 +290,6 @@ net::PacketHandler FaultInjector::Wrap(sim::Simulator& sim, net::PacketHandler n
 // InputDigest — FNV-1a over every field the correlator consumes.
 // ---------------------------------------------------------------------------
 
-void InputDigest::Mix(const std::vector<ran::TbRecord>& records) {
-  Mix(records.size());
-  for (const auto& r : records) {
-    Mix(r.tb_id);
-    Mix(r.chain_id);
-    Mix(static_cast<std::uint64_t>(r.slot_time.us()));
-    Mix(static_cast<std::uint64_t>(r.grant));
-    Mix(r.tbs_bytes);
-    Mix(r.used_bytes);
-    Mix(r.harq_round);
-    Mix(r.crc_ok ? 1u : 0u);
-  }
-}
-
 void InputDigest::Mix(const std::vector<net::CaptureRecord>& records) {
   Mix(records.size());
   for (const auto& r : records) {

@@ -21,7 +21,6 @@
 #include "net/packet.hpp"
 #include "ran/types.hpp"
 #include "resilience/supervisor.hpp"
-#include "sim/digest.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
@@ -200,18 +199,19 @@ class FaultInjector {
 /// correlator input (FNV-1a over every field the correlator consumes).
 /// Two impaired runs are "byte-identical" iff their digests match — the
 /// reproducibility invariant `run_chaos_matrix.sh` checks across
-/// --jobs=1/8. Unlike resilience::StateDigest it leaves out the ICMP
-/// probe sequence; the digests recorded in BENCH_chaos.json depend on it.
+/// --jobs=1/8. It mixes what resilience::StateDigest mixes except the
+/// capture records' ICMP probe sequence; the digests recorded in
+/// BENCH_chaos.json depend on that difference.
 class InputDigest {
  public:
-  void Mix(std::uint64_t v) { fnv_.MixU64(v); }
-  void Mix(const std::vector<ran::TbRecord>& records);
+  void Mix(std::uint64_t v) { state_.Mix(v); }
+  void Mix(const std::vector<ran::TbRecord>& records) { state_.Mix(records); }
   void Mix(const std::vector<net::CaptureRecord>& records);
 
-  [[nodiscard]] std::uint64_t value() const { return fnv_.value(); }
+  [[nodiscard]] std::uint64_t value() const { return state_.value(); }
 
  private:
-  sim::Fnv1a fnv_;
+  resilience::StateDigest state_;
 };
 
 }  // namespace athena::fault

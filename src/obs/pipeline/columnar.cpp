@@ -26,10 +26,6 @@ constexpr std::size_t kMinEventBytes = 7;
 
 using Reader = sim::ByteReader<std::runtime_error>;
 
-std::span<const std::uint8_t> AsBytes(std::string_view s) {
-  return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};
-}
-
 void Put(std::ostream& os, std::span<const std::uint8_t> bytes) {
   os.write(reinterpret_cast<const char*>(bytes.data()),
            static_cast<std::streamsize>(bytes.size()));
@@ -61,7 +57,7 @@ ColumnarWriter::ColumnarWriter(std::ostream& os) : os_(os) {
   buffer_.reserve(kBlockEvents);
   std::vector<std::uint8_t> header;
   sim::ByteWriter w{header};
-  w.Bytes(AsBytes({kColumnarMagic, sizeof kColumnarMagic}));
+  w.Raw({kColumnarMagic, sizeof kColumnarMagic});
   w.U32(kColumnarVersion);
   Put(os_, header);
 }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "sim/check.hpp"
+
 namespace athena::ran {
 
 namespace {
@@ -18,7 +20,8 @@ RanDownlink::RanDownlink(sim::Simulator& sim, RanConfig config, ChannelModel cha
       slot_period_(sim::Duration{config.ul_slot_period.count() / kDlSlotsPerUlPeriod}),
       channel_(channel),
       cross_traffic_(std::move(cross_traffic)) {
-  assert(slot_period_.count() > 0);
+  ATHENA_CHECK(slot_period_.count() > 0,
+               "RanDownlink: ul_slot_period too short for a positive DL slot period");
 }
 
 void RanDownlink::Start() {
@@ -51,13 +54,19 @@ void RanDownlink::OnSlot() {
   const sim::TimePoint slot_time = sim_.Now();
   channel_.Tick(slot_period_);
 
+  // Retransmissions due this slot leave the map before anything is
+  // inserted into it: an insert may rehash and invalidate the iterator.
+  std::vector<Tb> due;
+  if (const auto it = pending_rtx_.find(slot_time.us()); it != pending_rtx_.end()) {
+    due = std::move(it->second);
+    pending_rtx_.erase(it);
+  }
+
   // Handover: the UE is unreachable; the gNB buffers and HARQ slides.
   if (channel_.in_handover()) {
-    const auto due = pending_rtx_.find(slot_time.us());
-    if (due != pending_rtx_.end()) {
+    if (!due.empty()) {
       auto& next = pending_rtx_[(slot_time + slot_period_).us()];
-      for (auto& tb : due->second) next.push_back(std::move(tb));
-      pending_rtx_.erase(due);
+      for (Tb& tb : due) next.push_back(std::move(tb));
     }
     slot_timer_ = sim_.ScheduleAfter(slot_period_, [this] { OnSlot(); });
     return;
@@ -71,14 +80,9 @@ void RanDownlink::OnSlot() {
   std::uint32_t available = slot_capacity - cross;
 
   // HARQ retransmissions first.
-  const auto rtx_it = pending_rtx_.find(slot_time.us());
-  if (rtx_it != pending_rtx_.end()) {
-    std::vector<Tb> due = std::move(rtx_it->second);
-    pending_rtx_.erase(rtx_it);
-    for (Tb& tb : due) {
-      available = available > tb.tbs ? available - tb.tbs : 0;
-      Transmit(std::move(tb), slot_time);
-    }
+  for (Tb& tb : due) {
+    available = available > tb.tbs ? available - tb.tbs : 0;
+    Transmit(std::move(tb), slot_time);
   }
 
   // New data: the gNB knows its own queue exactly — it grants itself the
@@ -150,7 +154,7 @@ void RanDownlink::OnTbDecoded(const Tb& tb) {
     auto it = in_flight_.find(id);
     if (it == in_flight_.end()) continue;
     auto& [pkt, remaining] = it->second;
-    assert(remaining >= bytes);
+    ATHENA_CHECK(remaining >= bytes, "RanDownlink: segment delivers more bytes than queued");
     remaining -= bytes;
     if (remaining == 0) {
       const net::Packet out = pkt;

@@ -1,7 +1,6 @@
 #include "ran/multi_ue.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <tuple>
 #include <utility>
 
@@ -284,7 +283,8 @@ void MultiUeUplink::OnTbDecoded(AttachedUe& ue, const Tb& tb, sim::TimePoint slo
     auto it = ue.radio.in_flight.find(seg.packet_id);
     if (it == ue.radio.in_flight.end()) continue;  // aborted by a dropped chain
     UeDeliveryState& state = it->second;
-    assert(state.undelivered >= seg.bytes);
+    ATHENA_CHECK(state.undelivered >= seg.bytes,
+                 "MultiUeUplink: segment delivers more bytes than queued");
     state.undelivered -= seg.bytes;
     if (state.undelivered == 0) {
       const net::Packet pkt = state.pkt;

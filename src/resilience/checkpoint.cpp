@@ -53,6 +53,24 @@ void StateDigest::Mix(const core::CorrelatorInput& input) {
   Mix(input.receiver);
 }
 
+void StateDigest::Mix(const ran::RanConfig& cell, const ran::ChannelModel::Config& channel) {
+  Mix(static_cast<std::uint64_t>(cell.ul_slot_period.count()));
+  Mix(static_cast<std::uint64_t>(cell.slot_duration.count()));
+  Mix(static_cast<std::uint64_t>(cell.bsr_scheduling_delay.count()));
+  Mix(cell.proactive_grant_bytes);
+  Mix(static_cast<std::uint64_t>(cell.cell_ul_capacity_bps));
+  Mix(static_cast<std::uint64_t>(cell.ue_processing_delay.count()));
+  Mix(static_cast<std::uint64_t>(cell.rtx_delay.count()));
+  Mix(cell.max_harq_rounds);
+  Mix(static_cast<std::uint64_t>(cell.ecn_marking_threshold.count()));
+  Mix(static_cast<std::uint64_t>(cell.gnb_to_core_delay.count()));
+  Mix(static_cast<std::uint64_t>(channel.base_bler * 1e9));
+  Mix(static_cast<std::uint64_t>(channel.rtx_bler_factor * 1e9));
+  Mix(static_cast<std::uint64_t>(channel.bad_state_bler * 1e9));
+  Mix(static_cast<std::uint64_t>(channel.p_good_to_bad * 1e9));
+  Mix(static_cast<std::uint64_t>(channel.p_bad_to_good * 1e9));
+}
+
 std::uint64_t ConfigFingerprint(const app::SessionConfig& config) {
   // A drift detector, not a cryptographic identity: covers every scalar
   // knob that shapes the run. Functional overrides (grant_policy,
@@ -62,21 +80,7 @@ std::uint64_t ConfigFingerprint(const app::SessionConfig& config) {
   d.Mix(config.seed);
   d.Mix(static_cast<std::uint64_t>(config.access));
   d.Mix(static_cast<std::uint64_t>(config.controller));
-  d.Mix(static_cast<std::uint64_t>(config.cell.ul_slot_period.count()));
-  d.Mix(static_cast<std::uint64_t>(config.cell.slot_duration.count()));
-  d.Mix(static_cast<std::uint64_t>(config.cell.bsr_scheduling_delay.count()));
-  d.Mix(config.cell.proactive_grant_bytes);
-  d.Mix(static_cast<std::uint64_t>(config.cell.cell_ul_capacity_bps));
-  d.Mix(static_cast<std::uint64_t>(config.cell.ue_processing_delay.count()));
-  d.Mix(static_cast<std::uint64_t>(config.cell.rtx_delay.count()));
-  d.Mix(config.cell.max_harq_rounds);
-  d.Mix(static_cast<std::uint64_t>(config.cell.ecn_marking_threshold.count()));
-  d.Mix(static_cast<std::uint64_t>(config.cell.gnb_to_core_delay.count()));
-  d.Mix(static_cast<std::uint64_t>(config.channel.base_bler * 1e9));
-  d.Mix(static_cast<std::uint64_t>(config.channel.rtx_bler_factor * 1e9));
-  d.Mix(static_cast<std::uint64_t>(config.channel.bad_state_bler * 1e9));
-  d.Mix(static_cast<std::uint64_t>(config.channel.p_good_to_bad * 1e9));
-  d.Mix(static_cast<std::uint64_t>(config.channel.p_bad_to_good * 1e9));
+  d.Mix(config.cell, config.channel);
   d.Mix(static_cast<std::uint64_t>(config.wan_delay.count()));
   d.Mix(static_cast<std::uint64_t>(config.wan_jitter.count()));
   d.Mix(static_cast<std::uint64_t>(config.emulated_latency.count()));

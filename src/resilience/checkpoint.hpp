@@ -51,9 +51,7 @@ class CheckpointError : public std::runtime_error {
 
 /// Rolling FNV-1a digest over the fields the pipeline consumes — the
 /// byte-identity witness for checkpoint verification and final-report
-/// comparison. fault::InputDigest mixes the same fields minus the ICMP
-/// probe sequence; the chaos digests recorded in BENCH_chaos.json depend
-/// on that difference.
+/// comparison.
 class StateDigest {
  public:
   void Mix(std::uint64_t v) { fnv_.MixU64(v); }
@@ -61,6 +59,8 @@ class StateDigest {
   void Mix(const std::vector<ran::TbRecord>& records);
   void Mix(const std::vector<net::CaptureRecord>& records);
   void Mix(const core::CorrelatorInput& input);
+  /// The radio knobs both config fingerprints cover, in one fixed order.
+  void Mix(const ran::RanConfig& cell, const ran::ChannelModel::Config& channel);
 
   [[nodiscard]] std::uint64_t value() const { return fnv_.value(); }
 

@@ -17,21 +17,7 @@ std::uint64_t WorldConfigFingerprint(const world::WorldConfig& config) {
   d.Mix(config.cells);
   d.Mix(static_cast<std::uint64_t>(config.duration.count()));
   d.Mix(static_cast<std::uint64_t>(config.link_latency.count()));
-  d.Mix(static_cast<std::uint64_t>(config.cell.ul_slot_period.count()));
-  d.Mix(static_cast<std::uint64_t>(config.cell.slot_duration.count()));
-  d.Mix(static_cast<std::uint64_t>(config.cell.bsr_scheduling_delay.count()));
-  d.Mix(config.cell.proactive_grant_bytes);
-  d.Mix(static_cast<std::uint64_t>(config.cell.cell_ul_capacity_bps));
-  d.Mix(static_cast<std::uint64_t>(config.cell.ue_processing_delay.count()));
-  d.Mix(static_cast<std::uint64_t>(config.cell.rtx_delay.count()));
-  d.Mix(config.cell.max_harq_rounds);
-  d.Mix(static_cast<std::uint64_t>(config.cell.ecn_marking_threshold.count()));
-  d.Mix(static_cast<std::uint64_t>(config.cell.gnb_to_core_delay.count()));
-  d.Mix(static_cast<std::uint64_t>(config.channel.base_bler * 1e9));
-  d.Mix(static_cast<std::uint64_t>(config.channel.rtx_bler_factor * 1e9));
-  d.Mix(static_cast<std::uint64_t>(config.channel.bad_state_bler * 1e9));
-  d.Mix(static_cast<std::uint64_t>(config.channel.p_good_to_bad * 1e9));
-  d.Mix(static_cast<std::uint64_t>(config.channel.p_bad_to_good * 1e9));
+  d.Mix(config.cell, config.channel);
   d.Mix(config.handover_every);
   d.Mix(static_cast<std::uint64_t>(config.handover_latency.count()));
   d.Mix(static_cast<std::uint64_t>(config.wan_delay.count()));

@@ -1,31 +1,20 @@
 // The byte codec of the three on-disk formats: the session checkpoint
 // (ATHCKPT), the world snapshot (ATHWSNP) and the ATHC columnar trace.
-//
 // Fixed-width integers are little-endian, written byte by byte, so a file
-// is identical across platforms and never depends on struct layout.
-// Varints are LEB128; signed varints are zigzag-encoded first. A string
-// is a varint length followed by its bytes.
+// never depends on the host or on struct layout. Varints are LEB128,
+// signed ones zigzag-encoded; a string is a varint length and its bytes.
 //
 // Both snapshot formats share one frame:
 //
-//   [0..m)        magic (m bytes)
-//   [m..m+4)      u32 version
-//   [m+4..m+8)    u32 reserved (0)
-//   ...           body
-//   [-8..)        u64 FNV-1a checksum over every preceding byte
+//   magic | u32 version | u32 reserved (0) | body | u64 FNV-1a of all before
 //
-// OpenFrame checks the size, then the magic, then the checksum, then the
-// version, before the caller reads a single body field.
-//
-// A decoder fails with the caller's error type — resilience's
-// CheckpointError for the snapshots, std::runtime_error for ATHC — and
-// never with UB, an abort, or an allocation sized by an unchecked field:
-// every read is bounds-checked, and a record count is accepted only if
-// the bytes left can hold that many records.
+// A decoder fails only by throwing the caller's error type (resilience's
+// CheckpointError for the snapshots, std::runtime_error for ATHC): every
+// read is bounds-checked, and no allocation is sized by a field the
+// bytes at hand cannot back.
 #pragma once
 
 #include <algorithm>
-#include <charconv>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -53,10 +42,7 @@ class ByteWriter {
   void I64(std::int64_t v) { Le(static_cast<std::uint64_t>(v), 8); }
 
   void Varint(std::uint64_t v) {
-    while (v >= 0x80) {
-      out_.push_back(static_cast<std::uint8_t>(v) | 0x80);
-      v >>= 7;
-    }
+    for (; v >= 0x80; v >>= 7) out_.push_back(static_cast<std::uint8_t>(v) | 0x80);
     out_.push_back(static_cast<std::uint8_t>(v));
   }
 
@@ -64,19 +50,19 @@ class ByteWriter {
     Varint((static_cast<std::uint64_t>(v) << 1) ^ static_cast<std::uint64_t>(v >> 63));
   }
 
-  void Bytes(std::span<const std::uint8_t> bytes) {
-    out_.insert(out_.end(), bytes.begin(), bytes.end());
-  }
-
   void Str(std::string_view s) {
     Varint(s.size());
-    out_.insert(out_.end(), s.begin(), s.end());
+    Raw(s);
   }
 
-  /// Starts a snapshot frame. The frame must begin the vector: the
-  /// trailer covers every byte in it.
+  /// Bytes without a length prefix (a magic number).
+  void Raw(std::string_view bytes) {
+    for (const char c : bytes) U8(static_cast<std::uint8_t>(c));
+  }
+
+  /// Starts a snapshot frame; the frame must start the vector.
   void BeginFrame(std::string_view magic, std::uint32_t version) {
-    for (const char c : magic) U8(static_cast<std::uint8_t>(c));
+    Raw(magic);
     U32(version);
     U32(0);  // reserved
   }
@@ -102,7 +88,6 @@ class ByteReader {
       : bytes_(bytes), what_(what) {}
 
   [[nodiscard]] std::size_t remaining() const { return bytes_.size() - pos_; }
-  [[nodiscard]] bool done() const { return pos_ == bytes_.size(); }
 
   std::uint8_t U8() { return static_cast<std::uint8_t>(Le(1)); }
   std::uint16_t U16() { return static_cast<std::uint16_t>(Le(2)); }
@@ -125,18 +110,14 @@ class ByteReader {
     return static_cast<std::int64_t>(v >> 1) ^ -static_cast<std::int64_t>(v & 1);
   }
 
-  std::span<const std::uint8_t> Bytes(std::size_t n) { return Take(n); }
-
   std::string Str() {
-    const std::uint64_t len = Varint();
-    if (len > remaining()) Fail("truncated string");
-    const auto bytes = Take(static_cast<std::size_t>(len));
+    const auto bytes = Take(Count(Varint(), 1));
     return std::string(bytes.begin(), bytes.end());
   }
 
-  /// Accepts a record count read from the input only if the bytes left
-  /// can hold that many records of at least `min_record_bytes` each.
-  /// Compared by division, so no count can wrap the check.
+  /// Accepts a count read from the input only if the bytes left can hold
+  /// that many records of at least `min_record_bytes` each. Compared by
+  /// division, so no count can wrap the check.
   std::size_t Count(std::uint64_t count, std::size_t min_record_bytes) {
     if (count > remaining() / min_record_bytes) {
       Fail("count " + std::to_string(count) + " exceeds what the " +
@@ -154,7 +135,9 @@ class ByteReader {
   }
 
   void ExpectEnd() {
-    if (!done()) Fail(std::to_string(remaining()) + " trailing bytes after the last record");
+    if (remaining() != 0) {
+      Fail(std::to_string(remaining()) + " trailing bytes after the last record");
+    }
   }
 
   [[noreturn]] void Fail(const std::string& why) const {
@@ -167,9 +150,8 @@ class ByteReader {
       Fail("truncated: needed " + std::to_string(n) + " bytes at offset " +
            std::to_string(pos_) + " of " + std::to_string(bytes_.size()));
     }
-    const auto bytes = bytes_.subspan(pos_, n);
     pos_ += n;
-    return bytes;
+    return bytes_.subspan(pos_ - n, n);
   }
 
   std::uint64_t Le(int n) {
@@ -184,33 +166,24 @@ class ByteReader {
   std::size_t pos_ = 0;
 };
 
-/// Validates a snapshot frame and returns a reader over its body, just
-/// past the reserved word. Nothing in the body is trusted before this.
+/// Checks a snapshot frame (its size, then magic, then checksum, then
+/// version) and returns a reader over the body. Nothing in the body is
+/// trusted before this returns.
 template <class Error>
 [[nodiscard]] ByteReader<Error> OpenFrame(std::span<const std::uint8_t> bytes,
                                           std::string_view magic, std::uint32_t version,
                                           std::string_view what) {
-  constexpr std::size_t kTrailerBytes = 8;
-  ByteReader<Error> whole{bytes, what};
-  if (bytes.size() < magic.size() + 8 + kTrailerBytes) {
-    whole.Fail("truncated: " + std::to_string(bytes.size()) +
-               " bytes cannot hold the frame header and trailer");
+  if (bytes.size() < magic.size() + 4 + 4 + 8) {
+    ByteReader<Error>{bytes, what}.Fail("truncated: " + std::to_string(bytes.size()) +
+                                        " bytes cannot hold a frame");
   }
-  const auto body = bytes.first(bytes.size() - kTrailerBytes);
+  const auto body = bytes.first(bytes.size() - 8);
   ByteReader<Error> r{body, what};
   r.ExpectMagic(magic);
-  const std::uint64_t stored = ByteReader<Error>{bytes.last(kTrailerBytes), what}.U64();
-  const std::uint64_t computed = Fnv1aOf(body);
-  if (stored != computed) {
-    auto hex = [](std::uint64_t v) {
-      char buf[16];
-      return std::string(buf, std::to_chars(buf, buf + sizeof buf, v, 16).ptr);
-    };
-    r.Fail("checksum mismatch (stored 0x" + hex(stored) + ", computed 0x" + hex(computed) +
-           "), file corrupt or truncated");
+  if (ByteReader<Error>{bytes.last(8), what}.U64() != Fnv1aOf(body)) {
+    r.Fail("checksum mismatch, file corrupt or truncated");
   }
-  const std::uint32_t found = r.U32();
-  if (found != version) {
+  if (const std::uint32_t found = r.U32(); found != version) {
     r.Fail("unsupported version " + std::to_string(found) + " (this build reads version " +
            std::to_string(version) + ")");
   }
@@ -224,17 +197,14 @@ template <class Error>
 template <class Error>
 void ReadExactly(std::istream& is, std::size_t n, std::vector<std::uint8_t>& out,
                  std::string_view what) {
-  constexpr std::size_t kChunk = std::size_t{1} << 16;
   out.clear();
   while (out.size() < n) {
     const std::size_t at = out.size();
-    const std::size_t chunk = std::min(kChunk, n - at);
-    out.resize(at + chunk);
-    is.read(reinterpret_cast<char*>(out.data() + at), static_cast<std::streamsize>(chunk));
-    if (static_cast<std::size_t>(is.gcount()) != chunk) {
-      throw Error(std::string(what) + ": truncated: stream ended " +
-                  std::to_string(n - at - static_cast<std::size_t>(is.gcount())) +
-                  " bytes short");
+    out.resize(at + std::min(n - at, std::size_t{1} << 16));
+    const auto chunk = static_cast<std::streamsize>(out.size() - at);
+    if (!is.read(reinterpret_cast<char*>(out.data() + at), chunk)) {
+      throw Error(std::string(what) + ": truncated: the stream ends inside a " +
+                  std::to_string(n) + "-byte field");
     }
   }
 }
