@@ -1,141 +1,10 @@
 // athena_cli — scenario runner with CSV export.
 //
 // Run any session configuration from the command line and dump the full
-// cross-layer dataset for offline analysis (pandas/R/gnuplot):
-//
-//   athena_cli [options]
-//     --access=5g|emulated|wifi|leo     access network      (default 5g)
-//     --controller=gcc|nada|scream|l4s  congestion control  (default gcc)
-//     --duration=SECONDS                call length         (default 60)
-//     --seed=N                          RNG seed            (default 42)
-//     --cross-mbps=X                    cross-traffic load  (default 0)
-//     --fading                          enable the fading radio
-//     --out=DIR                         write packets/frames/telemetry/
-//                                       capture CSVs into DIR
-//     --trace=FILE                      write a Chrome trace-event JSON
-//                                       (open in Perfetto / chrome://tracing)
-//     --metrics=FILE                    write periodic metric snapshots as CSV
-//     --diagnose                        run the live anomaly detectors and
-//                                       print the ranked health report (with
-//                                       --mitigate: also the decision ledger —
-//                                       trigger, attribution, knob delta,
-//                                       outcome per decision)
-//     --mitigate                        close the loop: a MitigationController
-//                                       subscribes to the live detectors and
-//                                       actuates the grant/CC/pacing knobs
-//                                       under fail-safe guardrails. With
-//                                       --chaos: runs mitigation-on/off pairs
-//                                       and checks the QoE + guardrail
-//                                       contracts instead of the plain
-//                                       degradation contract
-//     --mitigate-budget-ms=N            hard sense-to-act budget, virtual
-//                                       time (default 50)
-//     --expose=FILE                     write metrics + live detector state in
-//                                       Prometheus text format
-//     --anomalies=FILE                  write the structured event log as JSONL
-//     --sweep=N                         run N sessions with per-run seeds
-//                                       derived from --seed (run i gets
-//                                       sim::DeriveSeed(seed, i)); file
-//                                       outputs gain a .runN suffix
-//     --jobs=J                          worker threads for --sweep/--chaos
-//                                       (default: hardware concurrency).
-//                                       Output is bit-identical for any J.
-//     --chaos=NAME[,NAME...]|all        chaos mode: run the named fault
-//                                       scenario(s) (or the whole catalog) under
-//                                       --chaos-seeds derived seeds and check
-//                                       the degradation-contract invariants;
-//                                       exits nonzero on any violation
-//     --chaos-seeds=N                   seeds per chaos scenario (default 4)
-//     --chaos-out=FILE                  write the chaos matrix as JSON
-//     --chaos-list                      list the built-in chaos scenarios
-//     --ingest-out=FILE                 stream trace events through the
-//                                       telemetry ingest pipeline into a
-//                                       compact ATHC columnar file
-//     --rollup-bucket=MS                rollup bucket width (default 100);
-//                                       activates the pipeline rollup
-//     --rollup-out=FILE                 write the time-bucketed rollup as JSON
-//     --export-shards=N                 write the fleet exposition as N
-//                                       sharded Prometheus files (requires
-//                                       --expose as the base path)
-//     --perfetto-out=FILE               convert the finished --ingest-out
-//                                       columnar stream to Chrome trace JSON
-//                                       (chunked: O(block) memory)
-//     --checkpoint-every=MS             snapshot the session every MS of
-//                                       virtual time (resilient mode)
-//     --checkpoint-out=FILE             spill the latest checkpoint to FILE
-//     --restore=FILE                    resume from a checkpoint file; the
-//                                       replayed state is digest-verified
-//                                       before the run continues
-//     --mem-budget=BYTES                overload governor: bound the
-//                                       correlator input, shedding
-//                                       lowest-priority records first
-//     --supervise                       run under the watchdog supervisor
-//                                       (stall detection + bounded
-//                                       restart-from-checkpoint)
-//     --kill-at=MS                      inject a crash at virtual time MS
-//                                       (exercises the restore path)
-//     --kill-every-events=N             inject a crash every N events
-//     --fleet-report=FILE               aggregate every run of this
-//                                       invocation (single, --sweep or
-//                                       --chaos) into a fleet report:
-//                                       population delay-decomposition CDFs,
-//                                       anomaly prevalence and the SLO
-//                                       scoreboard as deterministic JSON
-//                                       (byte-identical at any --jobs)
-//     --fleet-slo=FILE                  SLO spec file (one per line:
-//                                       "name: sample metric <= T @ 0.95
-//                                       window 64"); default = built-ins
-//     --fleet-expose=FILE               write the fleet.slo.* and
-//                                       fleet.prevalence.* gauges in
-//                                       Prometheus text format
-//     --world-ues=N                     world mode: run N concurrent
-//                                       sessions sharing --world-cells
-//                                       cells across --world-shards
-//                                       shard workers (sharded engine,
-//                                       src/world/); prints the world
-//                                       digest + population summary and
-//                                       honours --fleet-report
-//     --world-cells=C                   cells in the world  (default 4)
-//     --world-shards=S                  shards (clamped to C, default 1)
-//     --world-handover=K                every K-th UE hands over mid-run
-//     --world-mode=threads|seq          one worker per shard vs the
-//                                       sequential oracle (default threads)
-//     --world-crosscheck                after the run, repeat at 1 shard
-//                                       sequentially and require a
-//                                       byte-identical digest + report
-//     --world-chaos                     run the world chaos contract
-//                                       (cell outage; see
-//                                       src/fault/world_chaos.hpp)
-//     --world-checkpoint-every=K        snapshot the whole world every K
-//                                       window boundaries (default 64 in
-//                                       supervised mode)
-//     --world-checkpoint-out=FILE       spill the latest world snapshot
-//                                       to FILE (ATHWSNP format)
-//     --world-kill-shard=S              supervised mode: shard S's worker
-//                                       dies once; the supervisor restores
-//                                       from the latest snapshot and the
-//                                       recovered digest must equal an
-//                                       uninterrupted run's
-//     --world-kill-window=W             1-based window of the kill
-//                                       (default: derived from --seed)
-//     --world-kill-cell=C               blame the kills on cell C and keep
-//                                       killing until its restart budget
-//                                       (1) is exhausted — the supervisor
-//                                       quarantines the cell and evacuates
-//                                       its UEs
-//     --world-restore=FILE              resume a world from a snapshot
-//                                       file; the replay is digest-verified
-//                                       at the snapshot's window before
-//                                       the run continues
-//     --fleet-baseline=FILE             stored baseline report to gate
-//                                       against
-//     --fleet-gate                      with --chaos/--sweep: after the run,
-//                                       compare the fleet report against
-//                                       --fleet-baseline (CDF dominance +
-//                                       SLO compliance) and exit nonzero on
-//                                       regression. Without a run mode:
-//                                       gate --fleet-report (an existing
-//                                       file) against the baseline directly
+// cross-layer dataset for offline analysis (pandas/R/gnuplot); or run
+// sweeps, chaos matrices, checkpointed sessions and sharded worlds.
+// `athena_cli --help` lists every flag (the table in Flags() below). A
+// bad flag or value exits 2 before anything runs.
 //
 // Example:
 //   athena_cli --access=5g --fading --cross-mbps=16 --duration=120
@@ -145,18 +14,21 @@
 //   athena_cli --chaos=all --chaos-seeds=2 --jobs=2
 //       --fleet-report=fleet.json --fleet-baseline=tests/data/fleet_baseline.json
 //       --fleet-gate
+#include <algorithm>
+#include <charconv>
 #include <chrono>
-#include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
-
-#include <algorithm>
 
 #include "athena.hpp"
 #include "core/report.hpp"
@@ -264,144 +136,202 @@ struct Options {
   }
 };
 
-bool ParseFlag(const std::string& arg, const char* name, std::string* value) {
-  const std::string prefix = std::string("--") + name + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  *value = arg.substr(prefix.size());
-  return true;
+/// One row of the flag table: `--name=METAVAR`, or `--name` for a
+/// switch (empty metavar). `set` stores the value into Options or returns
+/// why it is bad. Parsing, --help and validation read only the table.
+struct Flag {
+  const char* name;
+  std::string metavar;
+  std::string help;
+  std::function<std::string(Options&, std::string_view)> set;
+};
+
+Flag Switch(const char* name, bool Options::*field, const char* help) {
+  return {name, "", help, [field](Options& opt, std::string_view) {
+            opt.*field = true;
+            return std::string{};
+          }};
 }
 
+Flag Text(const char* name, const char* metavar, std::string Options::*field,
+          const char* help) {
+  return {name, metavar, help, [field](Options& opt, std::string_view value) {
+            opt.*field = value;
+            return std::string{};
+          }};
+}
+
+Flag Choice(const char* name, std::string Options::*field,
+            std::vector<std::string_view> choices, const char* help) {
+  std::string metavar;
+  for (const std::string_view c : choices) (metavar += metavar.empty() ? "" : "|") += c;
+  return {name, metavar, help,
+          [field, choices, metavar](Options& opt, std::string_view value) -> std::string {
+            if (std::find(choices.begin(), choices.end(), value) == choices.end()) {
+              return "must be one of " + metavar;
+            }
+            opt.*field = value;
+            return {};
+          }};
+}
+
+/// A number in [lo, hi]. The whole value must parse (std::from_chars);
+/// overflow, NaN and anything out of range are rejected.
+template <class T>
+Flag Number(const char* name, const char* metavar, T Options::*field,
+            std::type_identity_t<T> lo, std::type_identity_t<T> hi, const char* help) {
+  std::ostringstream range;
+  range << lo << ".." << hi;
+  const bool whole_type = lo == T{} && hi == std::numeric_limits<T>::max();
+  std::string text = help;
+  if (!whole_type) text += " [" + range.str() + "]";
+  return {name, metavar, text,
+          [field, lo, hi, range = range.str()](Options& opt, std::string_view value) {
+            T v{};
+            const char* end = value.data() + value.size();
+            const auto [ptr, ec] = std::from_chars(value.data(), end, v);
+            if (ec != std::errc{} || ptr != end || !(v >= lo && v <= hi)) {
+              return "must be a number in " + range;
+            }
+            opt.*field = v;
+            return std::string{};
+          }};
+}
+
+constexpr int kMaxSeconds = 86'400;  ///< one simulated day
+constexpr int kMaxMs = kMaxSeconds * 1000;
+constexpr std::size_t kMaxWorldSize = 4096;  ///< cells or shards
+constexpr std::uint64_t kNoLimit = std::numeric_limits<std::uint64_t>::max();
+
+void PrintUsage(std::ostream& os);
+
+const std::vector<Flag>& Flags() {
+  static const std::vector<Flag> flags = {
+      Choice("access", &Options::access, {"5g", "emulated", "wifi", "leo"},
+             "access network (default 5g)"),
+      Choice("controller", &Options::controller, {"gcc", "nada", "scream", "l4s"},
+             "congestion control (default gcc)"),
+      Number("duration", "SECONDS", &Options::duration_s, 1, kMaxSeconds,
+             "call length (default 60)"),
+      Number("seed", "N", &Options::seed, 0, kNoLimit, "RNG seed (default 42)"),
+      Number("cross-mbps", "X", &Options::cross_mbps, 0.0, 10'000.0,
+             "cross-traffic load (default 0)"),
+      Switch("fading", &Options::fading, "enable the fading radio"),
+      Text("out", "DIR", &Options::out_dir, "write packets/frames/telemetry/capture CSVs"),
+      Text("trace", "FILE", &Options::trace_path, "write a Chrome trace-event JSON"),
+      Text("metrics", "FILE", &Options::metrics_path, "write metric snapshots as CSV"),
+      Switch("diagnose", &Options::diagnose,
+             "print the live detectors' health report (and the --mitigate ledger)"),
+      Switch("mitigate", &Options::mitigate,
+             "close the loop under guardrails; with --chaos, check on/off pairs"),
+      Number("mitigate-budget-ms", "N", &Options::mitigate_budget_ms, 1, kMaxMs,
+             "sense-to-act budget in virtual time (default 50)"),
+      Text("expose", "FILE", &Options::expose_path, "write Prometheus text exposition"),
+      Text("anomalies", "FILE", &Options::anomalies_path, "write the event log as JSONL"),
+      Number("sweep", "N", &Options::sweep, 0, 1'000'000,
+             "run N derived-seed sessions; outputs gain .runN (0 = one run)"),
+      Number("jobs", "J", &Options::jobs, 0u, 1024u,
+             "workers for --sweep/--chaos (0 = hardware concurrency)"),
+      Text("chaos", "NAME[,NAME...]|all", &Options::chaos,
+           "run fault scenarios and check the degradation contract"),
+      Number("chaos-seeds", "N", &Options::chaos_seeds, 1, 1'000'000,
+             "seeds per chaos scenario (default 4)"),
+      Text("chaos-out", "FILE", &Options::chaos_out, "write the chaos matrix as JSON"),
+      Switch("chaos-list", &Options::chaos_list, "list the built-in chaos scenarios"),
+      Text("ingest-out", "FILE", &Options::ingest_out,
+           "stream trace events into an ATHC columnar file"),
+      Number("rollup-bucket", "MS", &Options::rollup_bucket_ms, 0, kMaxMs,
+             "rollup bucket width (0 = default 100)"),
+      Text("rollup-out", "FILE", &Options::rollup_out, "write the rollup as JSON"),
+      Number("export-shards", "N", &Options::export_shards, 0u, 1024u,
+             "split the --expose file into N Prometheus shards"),
+      Text("perfetto-out", "FILE", &Options::perfetto_out,
+           "convert the --ingest-out file to Chrome trace JSON"),
+      Number("checkpoint-every", "MS", &Options::checkpoint_every_ms, 0, kMaxMs,
+             "snapshot the session every MS of virtual time (0 = never)"),
+      Text("checkpoint-out", "FILE", &Options::checkpoint_out, "spill the latest checkpoint"),
+      Text("restore", "FILE", &Options::restore_path, "resume from a checkpoint file"),
+      Number("mem-budget", "BYTES", &Options::mem_budget, 0, kNoLimit,
+             "bound the correlator input (0 = unbounded)"),
+      Switch("supervise", &Options::supervise, "run under the watchdog supervisor"),
+      Number("kill-at", "MS", &Options::kill_at_ms, 0, kMaxMs,
+             "inject a crash at virtual time MS (0 = never)"),
+      Number("kill-every-events", "N", &Options::kill_every_events, 0, kNoLimit,
+             "inject a crash every N events (0 = never)"),
+      Text("fleet-report", "FILE", &Options::fleet_report, "write the fleet report JSON"),
+      Text("fleet-slo", "FILE", &Options::fleet_slo, "SLO specs (default: built-ins)"),
+      Text("fleet-expose", "FILE", &Options::fleet_expose, "write the fleet gauges"),
+      Text("fleet-baseline", "FILE", &Options::fleet_baseline, "baseline report to gate"),
+      Switch("fleet-gate", &Options::fleet_gate,
+             "gate the fleet report against --fleet-baseline"),
+      Number("world-ues", "N", &Options::world_ues, 0, 1'000'000,
+             "world mode: N sessions on the sharded engine (0 = off)"),
+      Number("world-cells", "C", &Options::world_cells, 1, kMaxWorldSize,
+             "cells in the world (default 4)"),
+      Number("world-shards", "S", &Options::world_shards, 1, kMaxWorldSize,
+             "shards, clamped to --world-cells (default 1)"),
+      Number("world-handover", "K", &Options::world_handover_every, 0, kNoLimit,
+             "every K-th UE hands over mid-run (0 = none)"),
+      Choice("world-mode", &Options::world_mode, {"threads", "seq"},
+             "shard workers or the sequential oracle (default threads)"),
+      Switch("world-crosscheck", &Options::world_crosscheck,
+             "require the 1-shard oracle's digest and report"),
+      Switch("world-chaos", &Options::world_chaos, "run the world chaos contract"),
+      Number("world-checkpoint-every", "K", &Options::world_checkpoint_every, 0, kNoLimit,
+             "snapshot the world every K windows (default 64)"),
+      Text("world-checkpoint-out", "FILE", &Options::world_checkpoint_out,
+           "spill the latest world snapshot"),
+      Number("world-kill-shard", "S", &Options::world_kill_shard, 0, kMaxWorldSize - 1,
+             "kill shard S once under the supervisor"),
+      Number("world-kill-window", "W", &Options::world_kill_window, 0, kNoLimit,
+             "1-based window of the kill (0 = derived from --seed)"),
+      Number("world-kill-cell", "C", &Options::world_kill_cell, 0, kMaxWorldSize - 1,
+             "blame the kills on cell C until it is quarantined"),
+      Text("world-restore", "FILE", &Options::world_restore, "resume from a world snapshot"),
+      {"help", "", "print this list and exit",
+       [](Options&, std::string_view) -> std::string {
+         PrintUsage(std::cout);
+         std::exit(0);
+       }},
+  };
+  return flags;
+}
+
+void PrintUsage(std::ostream& os) {
+  os << "usage: athena_cli [flags]\n";
+  for (const Flag& flag : Flags()) {
+    std::string lhs = "  --" + std::string(flag.name);
+    if (!flag.metavar.empty()) lhs += "=" + flag.metavar;
+    os << lhs << std::string(lhs.size() < 36 ? 36 - lhs.size() : 1, ' ') << flag.help
+       << '\n';
+  }
+}
+
+[[noreturn]] void Reject(std::string_view arg, const std::string& why) {
+  std::cerr << "athena_cli: " << arg << ": " << why << '\n';
+  std::exit(2);
+}
+
+/// Parses argv against the flag table. A bad flag or value exits 2 with
+/// `athena_cli: <arg>: <reason>` before anything runs.
 Options Parse(int argc, char** argv) {
   Options opt;
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    std::string value;
-    if (ParseFlag(arg, "access", &value)) {
-      opt.access = value;
-    } else if (ParseFlag(arg, "controller", &value)) {
-      opt.controller = value;
-    } else if (ParseFlag(arg, "duration", &value)) {
-      opt.duration_s = std::stoi(value);
-    } else if (ParseFlag(arg, "seed", &value)) {
-      opt.seed = std::stoull(value);
-    } else if (ParseFlag(arg, "cross-mbps", &value)) {
-      opt.cross_mbps = std::stod(value);
-    } else if (ParseFlag(arg, "out", &value)) {
-      opt.out_dir = value;
-    } else if (ParseFlag(arg, "trace", &value)) {
-      opt.trace_path = value;
-    } else if (ParseFlag(arg, "metrics", &value)) {
-      opt.metrics_path = value;
-    } else if (ParseFlag(arg, "expose", &value)) {
-      opt.expose_path = value;
-    } else if (ParseFlag(arg, "anomalies", &value)) {
-      opt.anomalies_path = value;
-    } else if (ParseFlag(arg, "sweep", &value)) {
-      opt.sweep = std::stoi(value);
-    } else if (ParseFlag(arg, "jobs", &value)) {
-      opt.jobs = static_cast<unsigned>(std::stoul(value));
-    } else if (ParseFlag(arg, "chaos", &value)) {
-      opt.chaos = value;
-    } else if (ParseFlag(arg, "chaos-seeds", &value)) {
-      opt.chaos_seeds = std::stoul(value);
-    } else if (ParseFlag(arg, "chaos-out", &value)) {
-      opt.chaos_out = value;
-    } else if (arg == "--chaos-list") {
-      opt.chaos_list = true;
-    } else if (ParseFlag(arg, "ingest-out", &value)) {
-      opt.ingest_out = value;
-    } else if (ParseFlag(arg, "rollup-bucket", &value)) {
-      opt.rollup_bucket_ms = std::stoi(value);
-    } else if (ParseFlag(arg, "rollup-out", &value)) {
-      opt.rollup_out = value;
-    } else if (ParseFlag(arg, "export-shards", &value)) {
-      opt.export_shards = static_cast<unsigned>(std::stoul(value));
-    } else if (ParseFlag(arg, "perfetto-out", &value)) {
-      opt.perfetto_out = value;
-    } else if (ParseFlag(arg, "checkpoint-every", &value)) {
-      opt.checkpoint_every_ms = std::stoi(value);
-    } else if (ParseFlag(arg, "checkpoint-out", &value)) {
-      opt.checkpoint_out = value;
-    } else if (ParseFlag(arg, "restore", &value)) {
-      opt.restore_path = value;
-    } else if (ParseFlag(arg, "mem-budget", &value)) {
-      opt.mem_budget = std::stoul(value);
-    } else if (ParseFlag(arg, "kill-at", &value)) {
-      opt.kill_at_ms = std::stoi(value);
-    } else if (ParseFlag(arg, "kill-every-events", &value)) {
-      opt.kill_every_events = std::stoull(value);
-    } else if (ParseFlag(arg, "fleet-report", &value)) {
-      opt.fleet_report = value;
-    } else if (ParseFlag(arg, "fleet-slo", &value)) {
-      opt.fleet_slo = value;
-    } else if (ParseFlag(arg, "fleet-expose", &value)) {
-      opt.fleet_expose = value;
-    } else if (ParseFlag(arg, "fleet-baseline", &value)) {
-      opt.fleet_baseline = value;
-    } else if (ParseFlag(arg, "world-ues", &value)) {
-      opt.world_ues = std::stoul(value);
-    } else if (ParseFlag(arg, "world-cells", &value)) {
-      opt.world_cells = std::stoul(value);
-    } else if (ParseFlag(arg, "world-shards", &value)) {
-      opt.world_shards = std::stoul(value);
-    } else if (ParseFlag(arg, "world-handover", &value)) {
-      opt.world_handover_every = std::stoul(value);
-    } else if (ParseFlag(arg, "world-mode", &value)) {
-      opt.world_mode = value;
-    } else if (arg == "--world-crosscheck") {
-      opt.world_crosscheck = true;
-    } else if (arg == "--world-chaos") {
-      opt.world_chaos = true;
-    } else if (ParseFlag(arg, "world-checkpoint-every", &value)) {
-      opt.world_checkpoint_every = std::stoull(value);
-    } else if (ParseFlag(arg, "world-checkpoint-out", &value)) {
-      opt.world_checkpoint_out = value;
-    } else if (ParseFlag(arg, "world-kill-shard", &value)) {
-      opt.world_kill_shard = std::stoul(value);
-    } else if (ParseFlag(arg, "world-kill-window", &value)) {
-      opt.world_kill_window = std::stoull(value);
-    } else if (ParseFlag(arg, "world-kill-cell", &value)) {
-      opt.world_kill_cell = std::stoul(value);
-    } else if (ParseFlag(arg, "world-restore", &value)) {
-      opt.world_restore = value;
-    } else if (arg == "--fleet-gate") {
-      opt.fleet_gate = true;
-    } else if (arg == "--supervise") {
-      opt.supervise = true;
-    } else if (arg == "--diagnose") {
-      opt.diagnose = true;
-    } else if (arg == "--mitigate") {
-      opt.mitigate = true;
-    } else if (ParseFlag(arg, "mitigate-budget-ms", &value)) {
-      opt.mitigate_budget_ms = std::stoi(value);
-    } else if (arg == "--fading") {
-      opt.fading = true;
-    } else if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: athena_cli [--access=5g|emulated|wifi|leo] "
-                   "[--controller=gcc|nada|scream|l4s] [--duration=S] [--seed=N] "
-                   "[--cross-mbps=X] [--fading] [--out=DIR] [--trace=FILE] "
-                   "[--metrics=FILE] [--diagnose] [--mitigate] "
-                   "[--mitigate-budget-ms=N] [--expose=FILE] "
-                   "[--anomalies=FILE] [--sweep=N] [--jobs=J] "
-                   "[--chaos=NAME|all] [--chaos-seeds=N] [--chaos-out=FILE] "
-                   "[--chaos-list] [--ingest-out=FILE] [--rollup-bucket=MS] "
-                   "[--rollup-out=FILE] [--export-shards=N] [--perfetto-out=FILE] "
-                   "[--checkpoint-every=MS] [--checkpoint-out=FILE] "
-                   "[--restore=FILE] [--mem-budget=BYTES] [--supervise] "
-                   "[--kill-at=MS] [--kill-every-events=N] "
-                   "[--fleet-report=FILE] [--fleet-slo=FILE] "
-                   "[--fleet-expose=FILE] [--fleet-baseline=FILE] [--fleet-gate] "
-                   "[--world-ues=N] [--world-cells=C] [--world-shards=S] "
-                   "[--world-handover=K] [--world-mode=threads|seq] "
-                   "[--world-crosscheck] [--world-chaos] "
-                   "[--world-checkpoint-every=K] [--world-checkpoint-out=FILE] "
-                   "[--world-kill-shard=S] [--world-kill-window=W] "
-                   "[--world-kill-cell=C] [--world-restore=FILE]\n";
-      std::exit(0);
-    } else {
-      std::cerr << "unknown argument: " << arg << " (try --help)\n";
-      std::exit(2);
+    std::string_view arg = argv[i];
+    if (arg == "-h") arg = "--help";
+    const std::size_t eq = arg.find('=');
+    const std::string_view name = arg.substr(0, eq);
+    const auto flag = std::find_if(Flags().begin(), Flags().end(), [name](const Flag& f) {
+      return name.starts_with("--") && name.substr(2) == f.name;
+    });
+    if (flag == Flags().end()) Reject(arg, "unknown flag (try --help)");
+    if (flag->metavar.empty() && eq != std::string_view::npos) Reject(arg, "takes no value");
+    if (!flag->metavar.empty() && eq == std::string_view::npos) {
+      Reject(arg, "needs a value: " + std::string(name) + "=" + flag->metavar);
     }
+    const std::string why =
+        flag->set(opt, eq == std::string_view::npos ? "" : arg.substr(eq + 1));
+    if (!why.empty()) Reject(arg, why);
   }
   return opt;
 }
@@ -415,9 +345,6 @@ app::SessionConfig BuildConfig(const Options& opt, std::uint64_t seed) {
     config.access = app::SessionConfig::Access::kWifiLike;
   } else if (opt.access == "leo") {
     config.access = app::SessionConfig::Access::kLeoSat;
-  } else if (opt.access != "5g") {
-    std::cerr << "unknown access network: " << opt.access << '\n';
-    std::exit(2);
   }
   if (opt.controller == "nada") {
     config.controller = app::SessionConfig::Controller::kNada;
@@ -425,9 +352,6 @@ app::SessionConfig BuildConfig(const Options& opt, std::uint64_t seed) {
     config.controller = app::SessionConfig::Controller::kScream;
   } else if (opt.controller == "l4s") {
     config.controller = app::SessionConfig::Controller::kL4s;
-  } else if (opt.controller != "gcc") {
-    std::cerr << "unknown controller: " << opt.controller << '\n';
-    std::exit(2);
   }
   if (opt.fading) config.channel = ran::ChannelModel::FadingRadio();
   if (opt.cross_mbps > 0.0) {
@@ -556,7 +480,7 @@ RunResult RunOne(const Options& opt, std::uint64_t seed, std::size_t run_index,
   if (opt.mitigate) {
     mitigation::control::MitigationRuntime::Options mopt;
     mopt.controller.budget =
-        sim::Duration{std::chrono::milliseconds{std::max(1, opt.mitigate_budget_ms)}};
+        sim::Duration{std::chrono::milliseconds{opt.mitigate_budget_ms}};
     runtime = std::make_unique<mitigation::control::MitigationRuntime>(mopt);
   }
 
@@ -708,10 +632,6 @@ int RunChaos(const Options& opt) {
       return 2;
     }
   }
-  if (opt.chaos_seeds == 0) {
-    std::cerr << "--chaos-seeds must be >= 1\n";
-    return 2;
-  }
 
   sim::ParallelRunner probe{opt.jobs};
 
@@ -719,7 +639,7 @@ int RunChaos(const Options& opt) {
     // Mitigation-on/off pairs: judge the QoE delta + guardrail contract
     // instead of the plain degradation contract.
     const sim::Duration budget{
-        std::chrono::milliseconds{std::max(1, opt.mitigate_budget_ms)}};
+        std::chrono::milliseconds{opt.mitigate_budget_ms}};
     std::cout << "mitigation chaos: " << selected.size() << " scenario(s) x "
               << opt.chaos_seeds << " seed(s), " << probe.jobs() << " jobs, base seed "
               << opt.seed << ", budget " << sim::ToMs(budget) << " ms\n";
@@ -788,7 +708,7 @@ int RunResilient(const Options& opt) {
   if (opt.mitigate) {
     mitigation::control::MitigationRuntime::Options mopt;
     mopt.controller.budget =
-        sim::Duration{std::chrono::milliseconds{std::max(1, opt.mitigate_budget_ms)}};
+        sim::Duration{std::chrono::milliseconds{opt.mitigate_budget_ms}};
     runtime = std::make_unique<mitigation::control::MitigationRuntime>(mopt);
   }
 
@@ -874,7 +794,7 @@ world::WorldConfig BuildWorldConfig(const Options& opt) {
   config.cells = opt.world_cells;
   // The engine rejects layouts with empty shards; the CLI keeps its
   // documented clamp-to-cells behaviour instead of erroring out.
-  config.shards = std::max<std::size_t>(1, std::min(opt.world_shards, opt.world_cells));
+  config.shards = std::min(opt.world_shards, opt.world_cells);
   config.threaded = opt.world_mode != "seq";
   config.duration = sim::Duration{std::chrono::seconds{opt.duration_s}};
   config.handover_every = opt.world_handover_every;
@@ -912,17 +832,12 @@ void PrintWorldSummary(const world::WorldResult& result) {
 /// World mode: the sharded multi-cell engine. Returns the process exit
 /// code (nonzero on conservation violation or cross-check mismatch).
 int RunWorld(const Options& opt) {
-  if (opt.world_mode != "threads" && opt.world_mode != "seq") {
-    std::cerr << "--world-mode must be 'threads' or 'seq'\n";
-    return 2;
-  }
-
   if (opt.world_chaos) {
     fault::WorldChaosConfig config;
     config.seed = opt.seed;
     config.ues = opt.world_ues;
     config.cells = opt.world_cells;
-    config.shards = opt.world_shards;
+    config.shards = std::min(opt.world_shards, opt.world_cells);
     config.threaded = opt.world_mode != "seq";
     config.duration = sim::Duration{std::chrono::seconds{opt.duration_s}};
     if (opt.world_handover_every > 0) {
@@ -1180,10 +1095,6 @@ int main(int argc, char** argv) {
         std::cout << "wrote " << path << '\n';
       }
       if (!opt.perfetto_out.empty()) {
-        if (opt.ingest_out.empty()) {
-          std::cerr << "--perfetto-out needs --ingest-out (it converts that file)\n";
-          return 2;
-        }
         std::ifstream in{opt.ingest_out, std::ios::binary};
         if (!in) throw std::runtime_error("cannot read " + opt.ingest_out);
         std::ofstream os{opt.perfetto_out};
