@@ -94,18 +94,20 @@ TEST_F(RanDownlinkTest, ChainDropLosesPacket) {
 TEST_F(RanDownlinkTest, RetransmissionDueMidHandoverGoesOutRightAfterIt) {
   // Every first transmission fails and every retransmission decodes; the
   // first cell-edge crossing starts 6-10 ms in and lasts 20 ms, so the
-  // retransmission of a packet sent at 1 ms falls due mid-handover.
+  // retransmissions of packets sent at 1 ms and one DL slot later fall
+  // due mid-handover, in consecutive slots.
   const ran::ChannelModel::Config channel{.base_bler = 1.0,
                                           .rtx_bler_factor = 0.0,
                                           .handover_interval = 8ms,
                                           .handover_duration = 20ms};
   Build(ran::RanConfig::PaperCell(), channel);
+  const sim::Duration slot = downlink_->slot_period();
   SendAt(1ms, 1, 1000);
+  SendAt(1ms + slot, 2, 1000);
   sim_.RunUntil(kEpoch + 100ms);
 
   // A twin of the downlink's channel (same seed, one tick per DL slot)
   // shows which slots the handover blacked out.
-  const sim::Duration slot = downlink_->slot_period();
   ran::ChannelModel twin{channel, sim::Rng{5}};
   std::vector<bool> in_handover{false};  // slot 0 is the epoch
   for (int k = 1; k * slot <= 100ms; ++k) {
@@ -113,20 +115,25 @@ TEST_F(RanDownlinkTest, RetransmissionDueMidHandoverGoesOutRightAfterIt) {
     in_handover.push_back(twin.in_handover());
   }
   const auto& tbs = downlink_->telemetry();
-  ASSERT_EQ(tbs.size(), 2u);
-  EXPECT_FALSE(tbs[0].crc_ok);
-  const std::int64_t due_slot =
-      (tbs[0].slot_time + cell_.rtx_delay - kEpoch + slot - 1us) / slot;
-  ASSERT_TRUE(in_handover[static_cast<std::size_t>(due_slot)]);
+  ASSERT_EQ(tbs.size(), 4u);
+  const auto due_slot = [&](const ran::TbRecord& tb) {
+    return static_cast<std::size_t>((tb.slot_time + cell_.rtx_delay - kEpoch + slot - 1us) /
+                                    slot);
+  };
+  ASSERT_TRUE(in_handover[due_slot(tbs[0])]);
+  ASSERT_TRUE(in_handover[due_slot(tbs[1])]);
+  std::size_t first_clear = due_slot(tbs[0]);
+  while (in_handover[first_clear]) ++first_clear;
 
-  std::int64_t first_clear = due_slot;
-  while (in_handover[static_cast<std::size_t>(first_clear)]) ++first_clear;
-  EXPECT_EQ(tbs[1].slot_time, kEpoch + first_clear * slot);
-  EXPECT_EQ(tbs[1].harq_round, 1);
-  EXPECT_TRUE(tbs[1].crc_ok);
-  ASSERT_EQ(deliveries_.size(), 1u);
-  EXPECT_EQ(deliveries_[0].second, tbs[1].slot_time + cell_.gnb_to_core_delay);
-  EXPECT_EQ(downlink_->counters().packets_delivered + downlink_->counters().packets_lost, 1u);
+  const sim::TimePoint resent = kEpoch + static_cast<std::int64_t>(first_clear) * slot;
+  for (std::size_t i = 2; i < 4; ++i) {
+    EXPECT_EQ(tbs[i].slot_time, resent) << "retransmission " << i;
+    EXPECT_EQ(tbs[i].harq_round, 1);
+    EXPECT_TRUE(tbs[i].crc_ok);
+  }
+  ASSERT_EQ(deliveries_.size(), 2u);
+  for (const auto& [id, at] : deliveries_) EXPECT_EQ(at, resent + cell_.gnb_to_core_delay);
+  EXPECT_EQ(downlink_->counters().packets_delivered + downlink_->counters().packets_lost, 2u);
 }
 
 TEST_F(RanDownlinkTest, TelemetryByteConservation) {
