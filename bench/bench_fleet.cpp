@@ -8,7 +8,6 @@
 // fold, when the JSON round-trip is not byte-stable, or when a report
 // fails to dominate itself at the gate.
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <fstream>

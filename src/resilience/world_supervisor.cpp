@@ -1,6 +1,5 @@
 #include "resilience/world_supervisor.hpp"
 
-#include <chrono>
 #include <optional>
 #include <sstream>
 #include <utility>
