@@ -7,11 +7,15 @@
 // correlator input (every capture and telemetry record), a digest of the
 // rendered cross-layer report, a digest of the RAN ground truth (which
 // packet bytes rode which TB chain), and the kernel's event count. Each
-// world case pins the world digest and a digest of the fleet report.
+// two-party case pins both directions' correlator inputs, the downlink's
+// telemetry and backlog, both directions' RAN counters, each end's QoE
+// and packet counts, and the event count. Each world case pins the world
+// digest and a digest of the fleet report.
 //
 // The pins hold only for libstdc++: the std::*_distribution algorithms
 // behind sim::Rng are implementation-defined, so other standard
 // libraries draw different (equally valid) random streams.
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -23,6 +27,7 @@
 #include <gtest/gtest.h>
 
 #include "app/session.hpp"
+#include "app/two_party.hpp"
 #include "core/correlator.hpp"
 #include "core/report.hpp"
 #include "mitigation/app_aware_policy.hpp"
@@ -224,6 +229,168 @@ TEST(DigestPinTest, TunablePolicySwitchedMidRun) {
   const PinnedRun run = RunSession(config, 10s, arm);
   ExpectPinned(run.pin, {0x07ff800cf0f3fd28ULL, 0xf15be5a7d2aeb5ebULL,
                          0x821a346aecb222c1ULL, 15877});
+}
+
+// ---------- two-party call ----------
+
+/// RanCounters fields in declaration order.
+constexpr std::array<const char*, 15> kCounterNames = {
+    "tb_transmissions",       "tb_new",
+    "tb_rtx",                 "tb_failed",
+    "tb_dropped_chains",      "empty_tb_transmissions",
+    "empty_tb_rtx",           "granted_bytes",
+    "used_bytes",             "wasted_requested_bytes",
+    "wasted_proactive_bytes", "packets_delivered",
+    "packets_lost",           "bsr_sent",
+    "ecn_marked"};
+constexpr std::size_t kDroppedChains = 4;
+constexpr std::size_t kBsrSent = 13;
+using CounterFields = std::array<std::uint64_t, kCounterNames.size()>;
+
+CounterFields Fields(const ran::RanCounters& c) {
+  return {c.tb_transmissions,       c.tb_new,
+          c.tb_rtx,                 c.tb_failed,
+          c.tb_dropped_chains,      c.empty_tb_transmissions,
+          c.empty_tb_rtx,           c.granted_bytes,
+          c.used_bytes,             c.wasted_requested_bytes,
+          c.wasted_proactive_bytes, c.packets_delivered,
+          c.packets_lost,           c.bsr_sent,
+          c.ecn_marked};
+}
+
+struct TwoPartyPin {
+  std::uint64_t up_input = 0;
+  std::uint64_t down_input = 0;
+  std::uint64_t down_telemetry = 0;
+  std::uint64_t down_queue_bytes = 0;
+  CounterFields up{};
+  /// The downlink's bsr_sent is not pinned: it counts buffer reports,
+  /// which a gNB scheduling its own queue has no use for.
+  CounterFields down{};
+  std::uint64_t rendered_a = 0, late_a = 0, rendered_b = 0, late_b = 0;
+  std::uint64_t received_a = 0, received_b = 0, feedback_a = 0, feedback_b = 0;
+  std::uint64_t events = 0;
+};
+
+TwoPartyPin RunTwoParty(const app::TwoPartyConfig& config, sim::Duration span) {
+  sim::Simulator sim;
+  app::TwoPartySession session{sim, config};
+  session.Run(span);
+
+  TwoPartyPin pin;
+  resilience::StateDigest up;
+  up.Mix(session.BuildUplinkCorrelatorInput());
+  pin.up_input = up.value();
+  resilience::StateDigest down;
+  down.Mix(session.BuildDownlinkCorrelatorInput());
+  pin.down_input = down.value();
+  resilience::StateDigest telemetry;
+  telemetry.Mix(session.downlink().telemetry());
+  pin.down_telemetry = telemetry.value();
+  pin.down_queue_bytes = session.downlink().queue_bytes();
+  pin.up = Fields(session.uplink().counters());
+  pin.down = Fields(session.downlink().counters());
+  pin.down[kBsrSent] = 0;
+  pin.rendered_a = session.qoe_at_a().video_frames_rendered();
+  pin.late_a = session.qoe_at_a().late_frames();
+  pin.rendered_b = session.qoe_at_b().video_frames_rendered();
+  pin.late_b = session.qoe_at_b().late_frames();
+  pin.received_a = session.receiver_a().packets_received();
+  pin.received_b = session.receiver_b().packets_received();
+  pin.feedback_a = session.sender_a().feedback_received();
+  pin.feedback_b = session.sender_b().feedback_received();
+  pin.events = sim.events_executed();
+  return pin;
+}
+
+void ExpectCounters(const char* direction, const CounterFields& got,
+                    const CounterFields& want) {
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], want[i]) << direction << " " << kCounterNames[i];
+  }
+}
+
+void ExpectTwoPartyPinned(const TwoPartyPin& got, const TwoPartyPin& want) {
+  EXPECT_EQ(got.up_input, want.up_input) << "uplink input digest " << Hex(got.up_input);
+  EXPECT_EQ(got.down_input, want.down_input) << "downlink input digest " << Hex(got.down_input);
+  EXPECT_EQ(got.down_telemetry, want.down_telemetry)
+      << "downlink telemetry digest " << Hex(got.down_telemetry);
+  EXPECT_EQ(got.down_queue_bytes, want.down_queue_bytes);
+  ExpectCounters("uplink", got.up, want.up);
+  ExpectCounters("downlink", got.down, want.down);
+  EXPECT_EQ(got.rendered_a, want.rendered_a);
+  EXPECT_EQ(got.late_a, want.late_a);
+  EXPECT_EQ(got.rendered_b, want.rendered_b);
+  EXPECT_EQ(got.late_b, want.late_b);
+  EXPECT_EQ(got.received_a, want.received_a);
+  EXPECT_EQ(got.received_b, want.received_b);
+  EXPECT_EQ(got.feedback_a, want.feedback_a);
+  EXPECT_EQ(got.feedback_b, want.feedback_b);
+  EXPECT_EQ(got.events, want.events);
+}
+
+TEST(DigestPinTest, TwoPartyDefaultCall) {
+  ATHENA_REQUIRE_PINNED_RNG();
+  const TwoPartyPin pin = RunTwoParty(app::TwoPartyConfig{}, 10s);
+  ExpectTwoPartyPinned(
+      pin, {0x3556b224b975a34eULL, 0x526ed9b528496f4bULL, 0x52e1d756959a5243ULL, 0,
+            {4339, 4000, 339, 340, 0, 3100, 248, 8945361,
+             1193330, 699385, 7052646, 1733, 0, 968, 0},
+            {1378, 1291, 87, 87, 0, 0, 0, 1169101,
+             1169101, 0, 0, 1711, 0, 0, 0},
+            279, 0, 279, 0, 1511, 1533, 199, 199, 40693});
+}
+
+TEST(DigestPinTest, TwoPartyHandoverAndCrossTraffic) {
+  ATHENA_REQUIRE_PINNED_RNG();
+  app::TwoPartyConfig config;
+  config.seed = 31;
+  config.channel = ran::ChannelModel::FadingRadio();
+  config.channel.handover_interval = 4s;
+  config.channel.handover_duration = 150ms;
+  config.uplink_cross_traffic = net::CapacityTrace{12e6};
+  config.downlink_cross_traffic = net::CapacityTrace{20e6};
+  const TwoPartyPin pin = RunTwoParty(config, 10s);
+  ExpectTwoPartyPinned(
+      pin, {0xf344e1b2fa42eacdULL, 0x02a1cf23d63ed77fULL, 0x932af38dbcdd9393ULL, 0,
+            {4664, 3873, 791, 792, 1, 3372, 550, 8395564,
+             959676, 474076, 6961812, 1532, 0, 878, 0},
+            {2295, 1955, 340, 341, 0, 0, 0, 1076136,
+             1076136, 0, 0, 1625, 0, 0, 0},
+            272, 2, 275, 2, 1430, 1331, 194, 194, 39528});
+}
+
+TEST(DigestPinTest, TwoPartyLossyChannel) {
+  ATHENA_REQUIRE_PINNED_RNG();
+  app::TwoPartyConfig config;
+  config.seed = 32;
+  config.channel.base_bler = 0.6;
+  config.channel.rtx_bler_factor = 1.0;
+  const TwoPartyPin pin = RunTwoParty(config, 10s);
+  EXPECT_GT(pin.down[kDroppedChains], 0u) << "no downlink HARQ chain was dropped";
+  ExpectTwoPartyPinned(
+      pin, {0x094c85afb39091cfULL, 0x1f421471ec1c9509ULL, 0xc255fa5b5521f927ULL, 0,
+            {8615, 4000, 4615, 5120, 502, 6549, 3524, 8962537,
+             542966, 201460, 8218111, 1142, 210, 752, 0},
+            {2777, 1285, 1492, 1646, 153, 0, 0, 818660,
+             818660, 0, 0, 1387, 200, 0, 0},
+            220, 2, 221, 2, 1084, 849, 176, 169, 37496});
+}
+
+TEST(DigestPinTest, TwoPartyFddLikeCell) {
+  ATHENA_REQUIRE_PINNED_RNG();
+  app::TwoPartyConfig config;
+  config.seed = 33;
+  config.cell = ran::RanConfig::FddLikeCell();
+  config.channel = ran::ChannelModel::FadingRadio();
+  const TwoPartyPin pin = RunTwoParty(config, 10s);
+  ExpectTwoPartyPinned(
+      pin, {0xdb6b6a084d3cd97dULL, 0x6437b912c5d2118fULL, 0xec20ab2b9a9d3cb7ULL, 0,
+            {23046, 19925, 3121, 3127, 3, 19805, 2704, 10677153,
+             1173583, 1321672, 8181898, 1716, 0, 2824, 0},
+            {3149, 2714, 435, 435, 0, 0, 0, 986790,
+             986790, 0, 0, 1556, 0, 0, 0},
+            279, 0, 278, 1, 1353, 1511, 199, 199, 120001});
 }
 
 // ---------- world ----------
