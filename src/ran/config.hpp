@@ -52,6 +52,10 @@ struct RanConfig {
   /// gNB → mobile-core transfer (the capture point ② of Fig. 2).
   sim::Duration gnb_to_core_delay{std::chrono::milliseconds{1}};
 
+  /// Interval between consecutive downlink slots: Fig. 6's TDD pattern
+  /// has four downlink slots per uplink slot.
+  [[nodiscard]] sim::Duration DlSlotPeriod() const { return ul_slot_period / 4; }
+
   /// Bytes a single UL slot can carry at cell capacity.
   [[nodiscard]] std::uint32_t SlotCapacityBytes() const {
     return static_cast<std::uint32_t>(cell_ul_capacity_bps *

@@ -27,11 +27,10 @@ class DownlinkPath {
   DownlinkPath(sim::Simulator& sim, Config config, sim::Rng rng)
       : sim_(sim), config_(config), rng_(rng) {}
 
-  /// Convenience: derives DL slot spacing from a RAN config (4 DL slots
-  /// per UL period in the paper's TDD pattern).
+  /// Convenience: takes the DL slot spacing from a RAN config.
   static DownlinkPath ForCell(sim::Simulator& sim, const RanConfig& cell, sim::Rng rng) {
     Config c;
-    c.dl_slot_spacing = sim::Duration{cell.ul_slot_period.count() / 4};
+    c.dl_slot_spacing = cell.DlSlotPeriod();
     return DownlinkPath{sim, c, rng};
   }
 

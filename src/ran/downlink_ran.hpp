@@ -1,24 +1,23 @@
-// A full downlink RAN model (gNB → UE), the counterpart of RanUplink.
-//
-// Downlink is structurally simpler than uplink — the gNB schedules its own
-// transmit queue, so there is no grant cycle, no BSR delay and no
-// proactive-grant waste. What remains: the TDD slot grid (DL slots are 4×
-// as dense as UL slots in the paper's cell), per-slot capacity shared with
-// other UEs, and HARQ retransmissions. The model exists to *demonstrate*
-// the paper's takeaway (c) — "the 5G RAN downlink provides low and stable
-// delay" — as an emergent property, and to let two-party calls put a
-// mobile receiver behind real radio machinery.
+// The 5G downlink (gNB → UE): like RanUplink, a one-UE view of the slot
+// machine in multi_ue.hpp, here on the DL grid (4× as dense as the UL
+// grid in the paper's cell). Only the grant policy differs: the gNB knows
+// its own queue, so each DL slot it grants itself the smaller of the
+// backlog and the slot budget, with no grant cycle, no BSR delay and no
+// proactive-grant waste. The slot budget, HARQ and the handover slide are
+// the shared machinery. The paper's takeaway (c), "the 5G RAN downlink
+// provides low and stable delay", thus emerges from the grant policy
+// alone, and two-party calls put a mobile receiver behind real radio
+// machinery.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "net/packet.hpp"
 #include "ran/channel.hpp"
 #include "ran/config.hpp"
 #include "ran/cross_traffic.hpp"
+#include "ran/multi_ue.hpp"
 #include "ran/types.hpp"
 #include "sim/simulator.hpp"
 
@@ -26,11 +25,12 @@ namespace athena::ran {
 
 class RanDownlink {
  public:
+  /// Runs a cell on the DL grid of `config` (RanConfig::DlSlotPeriod).
   RanDownlink(sim::Simulator& sim, RanConfig config, ChannelModel channel,
               CrossTraffic cross_traffic);
 
-  void Start();
-  void Stop();
+  void Start() { cell_.Start(); }
+  void Stop() { cell_.Stop(); }
 
   /// The core hands a datagram to the gNB for over-the-air delivery.
   void SendFromCore(const net::Packet& p);
@@ -41,47 +41,23 @@ class RanDownlink {
   /// Packets pop out at the UE.
   void set_ue_sink(net::PacketHandler sink) { ue_sink_ = std::move(sink); }
 
-  /// DL slot spacing: ul_slot_period / dl_slots_per_ul_period.
-  [[nodiscard]] sim::Duration slot_period() const { return slot_period_; }
+  /// DL slot spacing: the cell's RanConfig::DlSlotPeriod().
+  [[nodiscard]] sim::Duration slot_period() const { return cell_.config().ul_slot_period; }
 
-  [[nodiscard]] const std::vector<TbRecord>& telemetry() const { return telemetry_; }
-  [[nodiscard]] const RanCounters& counters() const { return counters_; }
-  [[nodiscard]] std::uint32_t queue_bytes() const;
+  [[nodiscard]] const std::vector<TbRecord>& telemetry() const { return radio().telemetry; }
+  [[nodiscard]] const RanCounters& counters() const { return cell_.counters(); }
+  [[nodiscard]] std::uint32_t queue_bytes() const { return radio().TotalBufferBytes(); }
 
  private:
-  struct Queued {
-    net::Packet pkt;
-    std::uint32_t remaining = 0;
-  };
+  class SelfScheduler;
+  static constexpr std::uint32_t kUe = 0;
 
-  struct Tb {
-    TbId id = 0;
-    TbId chain_id = 0;
-    std::uint32_t tbs = 0;
-    std::uint32_t used = 0;
-    std::uint8_t round = 0;
-    std::vector<std::pair<net::PacketId, std::uint32_t>> segments;  // (id, bytes)
-  };
-
-  void OnSlot();
-  void Transmit(Tb tb, sim::TimePoint slot_time);
-  void OnTbDecoded(const Tb& tb);
+  [[nodiscard]] const UeRadioState& radio() const { return *cell_.FindUe(kUe); }
 
   sim::Simulator& sim_;
-  RanConfig config_;
-  sim::Duration slot_period_;
-  ChannelModel channel_;
-  CrossTraffic cross_traffic_;
+  MultiUeUplink cell_;
+  SelfScheduler* scheduler_ = nullptr;  ///< owned by cell_
   net::PacketHandler ue_sink_;
-
-  std::deque<Queued> queue_;
-  std::unordered_map<net::PacketId, std::pair<net::Packet, std::uint32_t>> in_flight_;
-  std::unordered_map<std::int64_t, std::vector<Tb>> pending_rtx_;
-  std::vector<TbRecord> telemetry_;
-  RanCounters counters_;
-  TbId next_tb_id_ = 1;
-  bool started_ = false;
-  sim::EventHandle slot_timer_;
 };
 
 }  // namespace athena::ran

@@ -1,7 +1,12 @@
-// The 5G uplink slot machine: one cell, any number of contending UEs.
+// The 5G slot machine: one cell, any number of contending UEs. It runs
+// both directions. On the uplink each UE's grant policy decides its TB
+// size; on the downlink (downlink_ran.hpp) the gNB's self-scheduler
+// does, on the denser DL grid. The names (`MultiUeUplink`, `SendFromUe`,
+// `GrantPolicy::OnUplinkSlot`) are the uplink's, the direction §§2–3
+// measure.
 //
-// This is the system under measurement in §§2–3: every delay artifact
-// the paper explains (2.5 ms delay-spread quantization, ~10 ms BSR
+// The uplink is the system under measurement in §§2–3: every delay
+// artifact the paper explains (2.5 ms delay-spread quantization, ~10 ms BSR
 // scheduling delay, 10 ms HARQ inflation, over-granting, empty-TB
 // retransmissions) is an emergent behaviour of this component. Per UL
 // slot the cell ticks every UE's channel, serves competing cross traffic
@@ -21,11 +26,13 @@
 // grant, sends no SR, and its due retransmissions slide one slot. A slot
 // with nobody reachable is dark: no cross-traffic draw, no policy call.
 //
-// `RanUplink` (uplink.hpp) is the one-UE view single sessions use. The
-// world's `NrCell` hosts a population and moves UEs between cells: a
-// UE's radio state (`UeRadioState` — channel model, RLC queue,
-// undelivered-packet ledger, telemetry stream) detaches from one cell
-// and attaches to another mid-session. Detach drops the UE's pending
+// Three views run on it. `RanUplink` (uplink.hpp) is a single session's
+// uplink and `RanDownlink` (downlink_ran.hpp) a two-party call's
+// downlink; each attaches one UE to a private cell. The world's `NrCell`
+// hosts a population and moves UEs between cells: a UE's radio state
+// (`UeRadioState` — channel model, RLC queue, undelivered-packet ledger,
+// telemetry stream) detaches from one cell and attaches to another
+// mid-session. Detach drops the UE's pending
 // HARQ retransmissions — RLC-UM style handover loss — and its grant
 // policy, which stays with the cell; everything else travels intact, so
 // packet conservation is exact:

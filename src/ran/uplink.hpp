@@ -7,7 +7,9 @@
 // slot budget is shrunk by the competing cross traffic. This class adds
 // what only a single session needs — the gNB→core transfer to capture
 // point ②, the `ran.transit` span, and the ground-truth record of which
-// packet bytes rode which TB chain.
+// packet bytes rode which TB chain. `RanDownlink` (downlink_ran.hpp) is
+// the same kind of view on the DL grid, with a self-scheduling gNB in
+// place of the UE's grant policy.
 #pragma once
 
 #include <cstdint>
