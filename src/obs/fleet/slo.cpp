@@ -1,5 +1,7 @@
 #include "obs/fleet/slo.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <istream>
 #include <sstream>
 #include <stdexcept>
@@ -16,18 +18,21 @@ namespace {
                            "\": " + why);
 }
 
-double ParseNumber(std::string_view line, const std::string& token,
-                   const std::string& what) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(token, &used);
-    if (used != token.size()) Malformed(line, "trailing junk in " + what);
-    return v;
-  } catch (const std::invalid_argument&) {
-    Malformed(line, what + " is not a number: \"" + token + "\"");
-  } catch (const std::out_of_range&) {
-    Malformed(line, what + " is out of range: \"" + token + "\"");
+/// Parses the whole of `token` as a T (std::from_chars, as the CLI flag
+/// table does); false on junk, overflow or an empty token.
+template <class T>
+bool ParseWhole(const std::string& token, T& out) {
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, out);
+  return ec == std::errc{} && ptr == end;
+}
+
+double ParseFinite(std::string_view line, const std::string& token, const std::string& what) {
+  double v = 0.0;
+  if (!ParseWhole(token, v) || !std::isfinite(v)) {
+    Malformed(line, what + " must be a finite number, got \"" + token + "\"");
   }
+  return v;
 }
 
 }  // namespace
@@ -68,22 +73,20 @@ std::optional<SloSpec> ParseSloLine(std::string_view line) {
   }
 
   if (tokens[3] != "<=") Malformed(line, "expected '<=' after metric");
-  spec.threshold = ParseNumber(line, tokens[4], "threshold");
+  spec.threshold = ParseFinite(line, tokens[4], "threshold");
   if (spec.threshold < 0.0) Malformed(line, "threshold must be >= 0");
 
   if (tokens[5] != "@") Malformed(line, "expected '@' before target");
-  spec.target = ParseNumber(line, tokens[6], "target");
+  spec.target = ParseFinite(line, tokens[6], "target");
   if (!(spec.target > 0.0 && spec.target < 1.0)) {
     Malformed(line, "target must be in (0, 1)");
   }
 
   if (tokens.size() == 9) {
     if (tokens[7] != "window") Malformed(line, "expected 'window <N>'");
-    const double w = ParseNumber(line, tokens[8], "window");
-    if (w < 1.0 || w != static_cast<double>(static_cast<std::uint32_t>(w))) {
-      Malformed(line, "window must be a positive integer");
+    if (!ParseWhole(tokens[8], spec.window) || spec.window == 0) {
+      Malformed(line, "window must be a positive integer, got \"" + tokens[8] + "\"");
     }
-    spec.window = static_cast<std::uint32_t>(w);
   }
   return spec;
 }

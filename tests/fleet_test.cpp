@@ -143,6 +143,20 @@ TEST(SloSpecTest, CommentsAndBlanksAreSkippedMalformedThrows) {
                std::runtime_error);  // target out of (0,1)
   EXPECT_THROW((void)ParseSloLine("n: sample frame_late_fraction <= 1 @ 0.9"),
                std::runtime_error);  // session-scalar metric, sample granularity
+  // A NaN threshold can never be met; an infinite one makes the SLO vacuous.
+  for (const char* threshold : {"nan", "inf", "-inf", "20ms"}) {
+    EXPECT_THROW((void)ParseSloLine(std::string("a: sample uplink_owd_ms <= ") + threshold +
+                                    " @ 0.9"),
+                 std::runtime_error)
+        << threshold;
+  }
+  // The window is an unsigned 32-bit count of sessions, parsed as one.
+  for (const char* window : {"nan", "1e20", "4294967296", "0", "-1", "2.5", "64.0"}) {
+    EXPECT_THROW((void)ParseSloLine(std::string("a: sample uplink_owd_ms <= 20 @ 0.9 window ") +
+                                    window),
+                 std::runtime_error)
+        << window;
+  }
   // Session granularity over a sample metric is legal: judges the mean.
   EXPECT_TRUE(ParseSloLine("n: session uplink_owd_ms <= 1 @ 0.9").has_value());
 }
