@@ -8,6 +8,7 @@
 
 #include "app/session.hpp"
 #include "core/correlator.hpp"
+#include "obs/json_string.hpp"
 #include "obs/live/detectors.hpp"
 #include "obs/metrics.hpp"
 #include "resilience/checkpoint.hpp"
@@ -590,19 +591,6 @@ ChaosMatrixResult RunChaosMatrix(const std::vector<ChaosScenario>& scenarios,
   return result;
 }
 
-namespace {
-
-void WriteJsonString(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-  os << '"';
-}
-
-}  // namespace
-
 void WriteChaosJson(std::ostream& os, const ChaosMatrixResult& result,
                     std::uint64_t base_seed, std::size_t seeds, unsigned jobs) {
   os << "{\n  \"bench\": \"chaos_matrix\",\n";
@@ -616,7 +604,7 @@ void WriteChaosJson(std::ostream& os, const ChaosMatrixResult& result,
   for (std::size_t i = 0; i < result.outcomes.size(); ++i) {
     const ChaosOutcome& o = result.outcomes[i];
     os << "    {\"scenario\": ";
-    WriteJsonString(os, o.scenario);
+    obs::jsonio::WriteString(os, o.scenario);
     os << ", \"seed\": " << o.seed << ", \"ok\": " << (o.ok() ? "true" : "false")
        << ", \"survived\": " << (o.survived ? "true" : "false")
        << ", \"time_monotone\": " << (o.time_monotone ? "true" : "false")
@@ -640,7 +628,7 @@ void WriteChaosJson(std::ostream& os, const ChaosMatrixResult& result,
        << ", \"shed_capped\": " << o.shed_capped
        << ", \"bounded_bytes\": " << o.bounded_bytes
        << ", \"overload_anomalies\": " << o.overload_anomalies << ", \"failure\": ";
-    WriteJsonString(os, o.failure);
+    obs::jsonio::WriteString(os, o.failure);
     os << "}" << (i + 1 < result.outcomes.size() ? "," : "") << "\n";
   }
   os << "  ]\n}\n";

@@ -11,6 +11,7 @@
 #include "core/correlator.hpp"
 #include "media/qoe.hpp"
 #include "mitigation/control/runtime.hpp"
+#include "obs/json_string.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/random.hpp"
@@ -198,15 +199,6 @@ MitigationMatrixResult RunMitigationMatrix(const std::vector<ChaosScenario>& sce
 
 namespace {
 
-void WriteJsonString(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-  os << '"';
-}
-
 void WriteQoe(std::ostream& os, const char* key, const MitigationQoe& q) {
   os << "\"" << key << "\": {\"ssim_mean\": " << q.ssim_mean
      << ", \"late_fraction\": " << q.late_fraction
@@ -231,7 +223,7 @@ void WriteMitigationJson(std::ostream& os, const MitigationMatrixResult& result,
   for (std::size_t i = 0; i < result.outcomes.size(); ++i) {
     const MitigationOutcome& o = result.outcomes[i];
     os << "    {\"scenario\": ";
-    WriteJsonString(os, o.scenario);
+    obs::jsonio::WriteString(os, o.scenario);
     os << ", \"seed\": " << o.seed << ", \"ok\": " << (o.ok() ? "true" : "false")
        << ", \"survived\": " << (o.survived ? "true" : "false") << ", ";
     WriteQoe(os, "baseline", o.baseline);
@@ -246,7 +238,7 @@ void WriteMitigationJson(std::ostream& os, const MitigationMatrixResult& result,
        << ", \"qoe_ok\": " << (o.qoe_ok ? "true" : "false")
        << ", \"guarded_ok\": " << (o.guarded_ok ? "true" : "false")
        << ", \"failure\": ";
-    WriteJsonString(os, o.failure);
+    obs::jsonio::WriteString(os, o.failure);
     os << "}" << (i + 1 < result.outcomes.size() ? "," : "") << "\n";
   }
   os << "  ]\n}\n";

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "obs/json_string.hpp"
 #include "obs/live/anomaly.hpp"
 
 namespace athena::obs::fleet {
@@ -22,19 +23,7 @@ std::string FormatDouble(double v) {
   return std::string(buf, end);
 }
 
-void WriteString(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default: os << c;
-    }
-  }
-  os << '"';
-}
+using jsonio::WriteString;
 
 void WriteMetric(std::ostream& os, const MetricReport& m) {
   os << "{\"count\":" << m.count << ",\"mean\":" << FormatDouble(m.mean)
@@ -220,12 +209,26 @@ class JsonParser {
           case 'n': out += '\n'; break;
           case 't': out += '\t'; break;
           case 'r': out += '\r'; break;
+          case 'u': out += ParseAsciiEscape(); break;
           default: Fail("unsupported escape");
         }
       } else {
         out += c;
       }
     }
+  }
+
+  /// The four hex digits after `\u`. The writer escapes only control
+  /// bytes, so only code points below 0x80 are accepted.
+  char ParseAsciiEscape() {
+    if (text_.size() - pos_ < 4) Fail("unterminated escape");
+    unsigned code = 0;
+    const char* begin = text_.data() + pos_;
+    const auto [end, ec] = std::from_chars(begin, begin + 4, code, 16);
+    if (ec != std::errc{} || end != begin + 4) Fail("bad \\u escape");
+    if (code >= 0x80) Fail("unsupported non-ASCII \\u escape");
+    pos_ += 4;
+    return static_cast<char>(code);
   }
 
   Json ParseNumber() {

@@ -1,8 +1,8 @@
 #include "obs/live/anomaly.hpp"
 
-#include <cmath>
-#include <cstdio>
 #include <ostream>
+
+#include "obs/trace_json.hpp"
 
 namespace athena::obs::live {
 
@@ -34,37 +34,8 @@ const char* SlugFor(AnomalyKind kind) {
 
 namespace {
 
-void WriteEscaped(std::ostream& os, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-}
-
-void WriteNumber(std::ostream& os, double v) {
-  if (!std::isfinite(v)) {  // JSON has no Inf/NaN
-    os << 0;
-    return;
-  }
-  if (v == static_cast<double>(static_cast<std::int64_t>(v)) && std::abs(v) < 1e15) {
-    os << static_cast<std::int64_t>(v);
-  } else {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.6g", v);
-    os << buf;
-  }
-}
+using jsonio::WriteEscaped;
+using jsonio::WriteNumber;
 
 void WriteRecordJson(std::ostream& os, const EventLog::Record& r) {
   switch (r.kind) {

@@ -41,25 +41,6 @@ const char* TrackTitle(Layer layer) {
   return "?";
 }
 
-void WriteEscaped(std::ostream& os, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-}
-
 void WriteNumber(std::ostream& os, double v) {
   // JSON has no NaN/Inf; clamp to null-ish zero rather than emit garbage.
   if (!std::isfinite(v)) {

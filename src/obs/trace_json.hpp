@@ -6,14 +6,12 @@
 
 #include <iosfwd>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 
+#include "obs/json_string.hpp"
 #include "obs/trace.hpp"
 
 namespace athena::obs::jsonio {
-
-void WriteEscaped(std::ostream& os, std::string_view s);
 
 /// JSON-safe number: non-finite clamps to 0, integers render exactly.
 void WriteNumber(std::ostream& os, double v);

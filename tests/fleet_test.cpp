@@ -247,6 +247,27 @@ TEST(FleetReportTest, JsonRoundTripIsByteStable) {
   ASSERT_FALSE(parsed.slos.empty());
 }
 
+TEST(FleetReportTest, ControlBytesInNamesAreEscapedAndRoundTrip) {
+  const std::string name = std::string("bell\x07tab\tcr\rnul") + '\0' + "end\x1f";
+  FleetAggregator aggregator;
+  aggregator.Fold(MakeSummary(name, 1, 5.0, 0.01));
+  const SloEngine no_slos{std::vector<SloSpec>{}};
+  const std::string json = ReportBytes(aggregator, no_slos);
+
+  ASSERT_FALSE(json.empty());
+  EXPECT_EQ(json.back(), '\n');
+  for (std::size_t i = 0; i + 1 < json.size(); ++i) {
+    EXPECT_GE(static_cast<unsigned char>(json[i]), 0x20u) << "raw control byte at " << i;
+  }
+  std::istringstream in{json};
+  const FleetReport parsed = ParseReport(in);
+  ASSERT_EQ(parsed.scenarios.size(), 1u);
+  EXPECT_EQ(parsed.scenarios.begin()->first, name);
+  std::ostringstream again;
+  WriteJson(parsed, again);
+  EXPECT_EQ(again.str(), json);
+}
+
 TEST(FleetReportTest, ParseRejectsMalformedJson) {
   std::istringstream truncated{R"({"sessions": 3, "fleet")"};
   EXPECT_THROW((void)ParseReport(truncated), std::runtime_error);
