@@ -46,6 +46,11 @@ class AppAwareGrantPolicy : public ran::GrantPolicy {
   void OnBsrDecoded(sim::TimePoint decoded_at, std::uint32_t reported_bytes) override;
   void OnTbFilled(sim::TimePoint slot_time, const Decision& grant,
                   std::uint32_t used_bytes) override;
+  /// The fallback's BSR-requested grants keep their first-decision
+  /// priority in a shared cell.
+  [[nodiscard]] bool HasDueRequest(sim::TimePoint slot_time) const override {
+    return fallback_.HasDueRequest(slot_time);
+  }
 
   [[nodiscard]] std::uint64_t predicted_grants() const { return predicted_grants_; }
   [[nodiscard]] std::uint64_t fallback_grants() const { return fallback_grants_; }

@@ -40,6 +40,11 @@ class TrafficPredictorPolicy : public ran::GrantPolicy {
   void OnBsrDecoded(sim::TimePoint decoded_at, std::uint32_t reported_bytes) override;
   void OnTbFilled(sim::TimePoint slot_time, const Decision& grant,
                   std::uint32_t used_bytes) override;
+  /// The fallback's BSR-requested grants keep their first-decision
+  /// priority in a shared cell.
+  [[nodiscard]] bool HasDueRequest(sim::TimePoint slot_time) const override {
+    return fallback_.HasDueRequest(slot_time);
+  }
 
   /// Learned period (nullopt until confident).
   [[nodiscard]] std::optional<sim::Duration> learned_period() const;

@@ -32,32 +32,8 @@ const char* SlugFor(AnomalyKind kind) {
   return "unknown";
 }
 
-namespace {
-
 using jsonio::WriteEscaped;
 using jsonio::WriteNumber;
-
-void WriteRecordJson(std::ostream& os, const EventLog::Record& r) {
-  switch (r.kind) {
-    case EventLog::Record::Kind::kAnomaly: WriteJson(os, r.anomaly); return;
-    case EventLog::Record::Kind::kSpan:
-      os << "{\"type\":\"span\",\"layer\":\"" << obs::ToString(r.layer) << "\",\"name\":\"";
-      WriteEscaped(os, r.name);
-      os << "\",\"t_us\":" << r.t.us() << ",\"duration_ms\":";
-      WriteNumber(os, r.value);
-      os << "}";
-      return;
-    case EventLog::Record::Kind::kMetric:
-      os << "{\"type\":\"metric\",\"name\":\"";
-      WriteEscaped(os, r.name);
-      os << "\",\"t_us\":" << r.t.us() << ",\"value\":";
-      WriteNumber(os, r.value);
-      os << "}";
-      return;
-  }
-}
-
-}  // namespace
 
 void WriteJson(std::ostream& os, const AnomalyEvent& e) {
   os << "{\"type\":\"anomaly\",\"kind\":\"" << SlugFor(e.kind) << "\",\"layer\":\""
@@ -81,47 +57,15 @@ void WriteJson(std::ostream& os, const AnomalyEvent& e) {
 
 EventLog::EventLog(std::size_t capacity) : ring_(capacity == 0 ? 1 : capacity) {}
 
-void EventLog::Push(Record record) {
-  if (jsonl_ != nullptr) {
-    WriteRecordJson(*jsonl_, record);
-    *jsonl_ << '\n';
-  }
-  ring_[head_] = std::move(record);
+void EventLog::PushAnomaly(const AnomalyEvent& event) {
+  ring_[head_] = event;
   head_ = (head_ + 1) % ring_.size();
   if (size_ < ring_.size()) ++size_;
   ++pushed_;
 }
 
-void EventLog::PushAnomaly(const AnomalyEvent& event) {
-  Record r;
-  r.kind = Record::Kind::kAnomaly;
-  r.t = event.window_end;
-  r.anomaly = event;
-  Push(std::move(r));
-}
-
-void EventLog::PushSpan(Layer layer, std::string_view name, sim::TimePoint end,
-                        double duration_ms) {
-  Record r;
-  r.kind = Record::Kind::kSpan;
-  r.t = end;
-  r.layer = layer;
-  r.name = name;
-  r.value = duration_ms;
-  Push(std::move(r));
-}
-
-void EventLog::PushMetric(std::string_view name, sim::TimePoint t, double value) {
-  Record r;
-  r.kind = Record::Kind::kMetric;
-  r.t = t;
-  r.name = name;
-  r.value = value;
-  Push(std::move(r));
-}
-
-std::vector<const EventLog::Record*> EventLog::Ordered() const {
-  std::vector<const Record*> out;
+std::vector<const AnomalyEvent*> EventLog::Ordered() const {
+  std::vector<const AnomalyEvent*> out;
   out.reserve(size_);
   const std::size_t start = (head_ + ring_.size() - size_) % ring_.size();
   for (std::size_t i = 0; i < size_; ++i) {
@@ -131,8 +75,8 @@ std::vector<const EventLog::Record*> EventLog::Ordered() const {
 }
 
 void EventLog::WriteJsonl(std::ostream& os) const {
-  for (const Record* r : Ordered()) {
-    WriteRecordJson(os, *r);
+  for (const AnomalyEvent* e : Ordered()) {
+    WriteJson(os, *e);
     os << '\n';
   }
 }

@@ -2,7 +2,6 @@
 
 #include <ostream>
 #include <string>
-#include <string_view>
 
 #include "obs/live/detectors.hpp"
 #include "obs/live/live.hpp"
@@ -14,33 +13,11 @@ namespace {
 using prom::WriteHeader;
 using prom::WriteValue;
 
-void WriteHistogram(std::ostream& os, const std::string& name,
-                    const stats::Histogram& h) {
-  WriteHeader(os, name, "histogram", "Athena histogram");
-  // Prometheus buckets are cumulative upper bounds; the registry's
-  // histograms are fixed-width [lo, hi) bins with explicit under/overflow,
-  // so underflow folds into the first bucket and overflow into +Inf.
-  std::uint64_t cumulative = h.underflow();
-  for (std::size_t i = 0; i < h.bin_count(); ++i) {
-    cumulative += h.bin(i);
-    os << name << "_bucket{le=\"";
-    WriteValue(os, h.bin_low(i) + h.bin_width());
-    os << "\"} " << cumulative << '\n';
-  }
-  os << name << "_bucket{le=\"+Inf\"} " << h.count() << '\n';
-  os << name << "_sum ";
-  WriteValue(os, h.sum());
-  os << '\n';
-  os << name << "_count " << h.count() << '\n';
-}
-
-void WriteLiveState(std::ostream& os, const LiveEngine& live,
-                    const ExpositionOptions& options) {
-  const std::string& p = options.prefix;
+void WriteLiveState(std::ostream& os, const LiveEngine& live) {
   const DetectorBank& bank = live.bank();
 
   {
-    const std::string name = p + "anomalies_total";
+    const std::string name = prom::FamilyName("anomalies_total");
     WriteHeader(os, name, "counter", "Anomalies emitted by the live detectors");
     for (std::size_t i = 0; i < kAnomalyKindCount; ++i) {
       const auto kind = static_cast<AnomalyKind>(i);
@@ -49,7 +26,7 @@ void WriteLiveState(std::ostream& os, const LiveEngine& live,
     }
   }
   {
-    const std::string name = p + "detector_confidence";
+    const std::string name = prom::FamilyName("detector_confidence");
     WriteHeader(os, name, "gauge", "Peak confidence reported per detector");
     for (const auto& d : bank.detectors()) {
       os << name << "{detector=\"" << d->name() << "\"} ";
@@ -58,18 +35,18 @@ void WriteLiveState(std::ostream& os, const LiveEngine& live,
     }
   }
   {
-    const std::string name = p + "event_log_records";
+    const std::string name = prom::FamilyName("event_log_records");
     WriteHeader(os, name, "gauge", "Records currently retained in the event log");
     os << name << ' ' << live.log().size() << '\n';
-    const std::string dropped = p + "event_log_dropped_total";
+    const std::string dropped = prom::FamilyName("event_log_dropped_total");
     WriteHeader(os, dropped, "counter", "Event-log records evicted by the ring");
     os << dropped << ' ' << live.log().dropped_count() << '\n';
   }
   {
-    const std::string name = p + "frames_rendered_total";
+    const std::string name = prom::FamilyName("frames_rendered_total");
     WriteHeader(os, name, "counter", "Media frames/samples played out");
     os << name << ' ' << live.frames_rendered() << '\n';
-    const std::string late = p + "frames_late_total";
+    const std::string late = prom::FamilyName("frames_late_total");
     WriteHeader(os, late, "counter", "Media frames/samples played out late");
     os << late << ' ' << live.frames_late() << '\n';
   }
@@ -78,44 +55,10 @@ void WriteLiveState(std::ostream& os, const LiveEngine& live,
 }  // namespace
 
 void WritePrometheus(std::ostream& os, const MetricsRegistry& registry,
-                     const LiveEngine* live, ExpositionOptions options) {
+                     const LiveEngine* live) {
   os << "# Athena metrics exposition (Prometheus text format 0.0.4)\n";
-
-  for (const auto& [name, value] : registry.counters()) {
-    const std::string full = SanitizeMetricName(options.prefix + name);
-    WriteHeader(os, full, "counter", "Athena counter");
-    os << full << ' ' << value << '\n';
-  }
-  for (const auto& [name, value] : registry.gauges()) {
-    const std::string full = SanitizeMetricName(options.prefix + name);
-    WriteHeader(os, full, "gauge", "Athena gauge");
-    os << full << ' ';
-    WriteValue(os, value);
-    os << '\n';
-  }
-  for (const auto& [name, s] : registry.stats()) {
-    const std::string full = SanitizeMetricName(options.prefix + name);
-    WriteHeader(os, full, "summary", "Athena streaming stats");
-    os << full << "_count " << s.count() << '\n';
-    os << full << "_sum ";
-    WriteValue(os, s.sum());
-    os << '\n';
-    for (const auto& [suffix, v] :
-         {std::pair<const char*, double>{"_mean", s.mean()},
-          {"_min", s.min()},
-          {"_max", s.max()}}) {
-      const std::string g = full + suffix;
-      WriteHeader(os, g, "gauge", "Athena streaming stats");
-      os << g << ' ';
-      WriteValue(os, v);
-      os << '\n';
-    }
-  }
-  for (const auto& [name, h] : registry.histograms()) {
-    WriteHistogram(os, SanitizeMetricName(options.prefix + name), h);
-  }
-
-  if (live != nullptr) WriteLiveState(os, *live, options);
+  prom::WriteRegistry(os, registry);
+  if (live != nullptr) WriteLiveState(os, *live);
 }
 
 }  // namespace athena::obs::live

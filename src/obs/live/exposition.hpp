@@ -4,11 +4,8 @@
 // node-exporter-style textfile collector at it.
 //
 // Mapping:
-//   counter           → `<prefix><name> <value>` with `# TYPE ... counter`
-//   gauge             → `# TYPE ... gauge`
-//   RunningStats      → `_count`/`_sum` summary + `_mean`/`_min`/`_max` gauges
-//   stats::Histogram  → cumulative `_bucket{le="..."}` series ending in
-//                       `le="+Inf"`, plus `_sum` and `_count`
+//   registry families → `athena_<name>` through prom::WriteRegistry (the
+//                       renderer the sharded exporter shares)
 //   live detectors    → `athena_anomalies_total{kind=...,layer=...}`,
 //                       per-detector confidence gauges, event-log depth
 //
@@ -18,8 +15,6 @@
 #pragma once
 
 #include <iosfwd>
-#include <string>
-#include <string_view>
 
 #include "obs/metrics.hpp"
 #include "obs/prom_text.hpp"
@@ -32,14 +27,10 @@ class LiveEngine;
 /// (obs/pipeline/export.hpp); both delegate to obs/prom_text.hpp.
 using prom::SanitizeMetricName;
 
-struct ExpositionOptions {
-  std::string prefix = "athena_";
-};
-
 /// Renders everything in `registry` (and, when given, `live`'s detector
 /// state) in Prometheus text format. An empty registry yields only the
 /// header comment — still a valid exposition.
 void WritePrometheus(std::ostream& os, const MetricsRegistry& registry,
-                     const LiveEngine* live = nullptr, ExpositionOptions options = {});
+                     const LiveEngine* live = nullptr);
 
 }  // namespace athena::obs::live

@@ -28,14 +28,14 @@ namespace athena::obs {
 /// Kernel → obs adapter. Install with `sim.AddHooks(&bridge)`.
 class SimObsBridge final : public sim::SimHooks {
  public:
-  /// `queue_sample_every`: emit the queue-depth trace counter every N
-  /// executed events (bounds trace volume; 0 disables the counter).
-  explicit SimObsBridge(sim::Simulator& sim, std::uint64_t queue_sample_every = 64)
-      : sim_(sim), queue_sample_every_(queue_sample_every) {}
+  /// Executed events per queue-depth trace counter sample (bounds trace
+  /// volume).
+  static constexpr std::uint64_t kQueueSampleEvery = 64;
+
+  explicit SimObsBridge(sim::Simulator& sim) : sim_(sim) {}
 
   void OnEventExecuted(sim::TimePoint t, std::size_t queue_depth) override {
-    if (queue_sample_every_ == 0) return;
-    if (++events_since_sample_ < queue_sample_every_) return;
+    if (++events_since_sample_ < kQueueSampleEvery) return;
     events_since_sample_ = 0;
     TraceCounter(Layer::kSim, names::kSimQueueDepth, t, static_cast<double>(queue_depth));
   }
@@ -56,7 +56,6 @@ class SimObsBridge final : public sim::SimHooks {
 
  private:
   sim::Simulator& sim_;
-  std::uint64_t queue_sample_every_;
   std::uint64_t events_since_sample_ = 0;
 };
 
@@ -71,11 +70,9 @@ class ObsSession {
     /// 0 = no periodic snapshots (metrics still collect final values).
     sim::Duration metrics_period{0};
     bool profile_sim = false;
-    std::uint64_t queue_sample_every = 64;
     /// Run the live diagnosis engine (obs/live/) alongside the recorder;
     /// both consume the same emit points through a TraceFanout.
     bool live = false;
-    live::LiveEngine::Options live_options{};
     /// Hard byte budget for the trace recorder (0 = unbounded). Under
     /// the budget, low-priority events are shed and critical events
     /// evict the oldest chunk; see TraceRecorder.
@@ -89,9 +86,8 @@ class ObsSession {
   ObsSession(sim::Simulator& sim, Options options)
       : sim_(sim),
         options_(options),
-        bridge_(sim, options.queue_sample_every),
-        live_(options.live ? std::make_unique<live::LiveEngine>(options.live_options)
-                           : nullptr),
+        bridge_(sim),
+        live_(options.live ? std::make_unique<live::LiveEngine>() : nullptr),
         trace_scope_(PickSink()),
         metrics_scope_(options.metrics ? &registry_ : nullptr) {
     sim.AddHooks(&bridge_);

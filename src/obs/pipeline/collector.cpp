@@ -1,8 +1,16 @@
 #include "obs/pipeline/collector.hpp"
 
+#include <chrono>
+
 #include "obs/metrics.hpp"
 
 namespace athena::obs::pipeline {
+namespace {
+
+/// Background-thread backoff once every ring is empty.
+constexpr std::chrono::microseconds kIdleSleep{50};
+
+}  // namespace
 
 Collector::Collector(Options options) : options_(options) {
   batch_.resize(options_.drain_batch);
@@ -80,7 +88,7 @@ void Collector::Start() {
   if (running_.exchange(true)) return;
   thread_ = std::thread([this] {
     while (running_.load(std::memory_order_relaxed)) {
-      if (Sweep() == 0) std::this_thread::sleep_for(options_.idle_sleep);
+      if (Sweep() == 0) std::this_thread::sleep_for(kIdleSleep);
     }
     // Final drain: everything producers pushed before Stop() flipped the
     // flag is delivered before the thread exits.

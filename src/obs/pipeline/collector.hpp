@@ -18,7 +18,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -46,8 +45,6 @@ class Collector {
     std::size_t ring_capacity = 1 << 14;
     /// Max events per dequeue; also the fan-out batch size.
     std::size_t drain_batch = 512;
-    /// Background-thread backoff once every ring is empty.
-    std::chrono::microseconds idle_sleep{50};
   };
 
   Collector() : Collector(Options{}) {}

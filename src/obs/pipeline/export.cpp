@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <istream>
 #include <ostream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -11,24 +12,6 @@
 #include "obs/trace_json.hpp"
 
 namespace athena::obs::pipeline {
-namespace {
-
-/// Shard assignment on the *family* name (prefix + sanitized metric), so
-/// a family's `_count`/`_sum`/quantile series never split across shards.
-bool OnShard(const std::string& family, const ShardedExpositionOptions& options) {
-  if (options.shard_count <= 1) return true;
-  return prom::NameShard(family) % options.shard_count == options.shard;
-}
-
-void WriteGauge(std::ostream& os, const std::string& name, double value,
-                const char* help) {
-  prom::WriteHeader(os, name, "gauge", help);
-  os << name << ' ';
-  prom::WriteValue(os, value);
-  os << '\n';
-}
-
-}  // namespace
 
 void WritePrometheusShard(std::ostream& os, const TimeBucketRollup& rollup,
                           const MetricsRegistry* registry,
@@ -37,24 +20,15 @@ void WritePrometheusShard(std::ostream& os, const TimeBucketRollup& rollup,
      << options.shard << '/' << options.shard_count << "\n";
 
   if (registry != nullptr) {
-    for (const auto& [name, value] : registry->counters()) {
-      const std::string full = prom::SanitizeMetricName(options.prefix + name);
-      if (!OnShard(full, options)) continue;
-      prom::WriteHeader(os, full, "counter", "Athena counter");
-      os << full << ' ' << value << '\n';
-    }
-    for (const auto& [name, value] : registry->gauges()) {
-      const std::string full = prom::SanitizeMetricName(options.prefix + name);
-      if (!OnShard(full, options)) continue;
-      WriteGauge(os, full, value, "Athena gauge");
-    }
+    prom::WriteRegistry(os, *registry, options.shard, options.shard_count);
   }
 
+  // Shard assignment is on the *family* name, so a family's
+  // `_count`/`_sum`/quantile series never split across shards.
   for (const auto& [key, series] : rollup.series()) {
-    const std::string family = prom::SanitizeMetricName(
-        options.prefix + "rollup_" +
-        TraceNameRegistry::Instance().NameOf(key.name));
-    if (!OnShard(family, options)) continue;
+    const std::string family =
+        prom::FamilyName("rollup_" + TraceNameRegistry::Instance().NameOf(key.name));
+    if (!prom::OnShard(family, options.shard, options.shard_count)) continue;
     RollupBucket total;
     for (const RollupBucket& b : series.buckets) total.Merge(b);
     const std::string labels = std::string{"{layer=\""} + ToString(key.layer) + "\"}";

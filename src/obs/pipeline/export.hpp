@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <string>
 
 #include "obs/metrics.hpp"
 #include "obs/pipeline/rollup.hpp"
@@ -24,15 +23,15 @@
 namespace athena::obs::pipeline {
 
 struct ShardedExpositionOptions {
-  std::string prefix = "athena_";
   unsigned shard = 0;        ///< which shard to render
   unsigned shard_count = 1;  ///< total shards (1 = classic single stream)
 };
 
 /// Renders shard `options.shard` of the exposition: every registry
-/// metric and rollup series whose family name lands on this shard.
-/// `registry` may be null (rollup-only exposition). The union of all
-/// shards is exactly the full exposition; shards are disjoint.
+/// family (prom::WriteRegistry, the live exposition's renderer) and
+/// rollup series whose family name lands on this shard. `registry` may
+/// be null (rollup-only exposition). The union of all shards is exactly
+/// the full exposition; shards are disjoint.
 void WritePrometheusShard(std::ostream& os, const TimeBucketRollup& rollup,
                           const MetricsRegistry* registry,
                           ShardedExpositionOptions options = {});

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -123,85 +122,56 @@ class SpscRing {
   std::size_t cached_tail_ = 0;                   // consumer's view of tail_
 };
 
-/// The producer-facing TraceSink over one ring shard: batches locally
-/// (like TraceBatcher) and pushes batch-at-a-time, shedding with
-/// priority-split accounting when the collector falls behind. Install as
-/// the thread's trace sink (or fan out to it) — strictly one thread.
-class RingTraceSink final : public TraceSink {
+/// The producer-facing TraceSink over one ring shard: a TraceBatcher
+/// whose downstream is the ring push, shedding with priority-split
+/// accounting when the collector falls behind. Install as the thread's
+/// trace sink (or fan out to it) — strictly one thread.
+class RingTraceSink final : public TraceBatcher {
  public:
-  static constexpr std::size_t kBatch = 256;
-
-  explicit RingTraceSink(SpscRing* ring) : ring_(ring) {
-    ATHENA_CHECK(ring != nullptr, "RingTraceSink needs a ring");
-    ArmReserveWindow(buffer_.data(), buffer_.data() + kBatch);
-  }
+  explicit RingTraceSink(SpscRing* ring) : TraceBatcher(&push_), push_(ring) {}
+  // Flushes while push_ is alive; the batcher's own flush then finds
+  // nothing left.
   ~RingTraceSink() override { Flush(); }
 
-  RingTraceSink(const RingTraceSink&) = delete;
-  RingTraceSink& operator=(const RingTraceSink&) = delete;
-
-  void Emit(const TraceEvent& event) override {
-    SyncFill();
-    if (fill_ == kBatch) Flush();
-    buffer_[fill_++] = event;
-    // Re-arm before any flush: SyncFill derives the fill count from the
-    // reserve cursor, so the cursor must account for this direct append
-    // too (an empty window when full — TryReserve then returns null).
-    ArmReserveWindow(buffer_.data() + fill_, buffer_.data() + kBatch);
-    if (fill_ == kBatch) Flush();
-  }
-
-  void EmitBatch(const TraceEvent* events, std::size_t count) override {
-    Flush();
-    Push(events, count);
-  }
-
-  /// Drains the local batch into the ring. Call at quiescent points; the
-  /// destructor flushes too.
-  void Flush() {
-    SyncFill();
-    if (fill_ > 0) {
-      Push(buffer_.data(), fill_);
-      fill_ = 0;
-    }
-    ArmReserveWindow(buffer_.data(), buffer_.data() + kBatch);
-  }
-
-  [[nodiscard]] const RingStats& stats() const { return stats_; }
-  [[nodiscard]] SpscRing* ring() const { return ring_; }
+  [[nodiscard]] const RingStats& stats() const { return push_.stats; }
+  [[nodiscard]] SpscRing* ring() const { return push_.ring; }
 
  private:
-  /// The armed window always starts at buffer_ + fill_, so the cursor's
-  /// offset *is* the true fill count after in-place reservations.
-  void SyncFill() { fill_ = static_cast<std::size_t>(reserve_cursor() - buffer_.data()); }
-
-  void Push(const TraceEvent* events, std::size_t count) {
-    const std::size_t accepted = ring_->PushBatch(events, count);
-    stats_.pushed += accepted;
-    // Full ring: shed the remainder in resilience-tier order — low-
-    // priority events go first, critical events (the detectors' evidence
-    // stream) get an individual retry against whatever slots the
-    // collector has freed meanwhile. Relative order of the events that
-    // do land is preserved.
-    for (std::size_t i = accepted; i < count; ++i) {
-      if (CriticalTraceEvent(events[i])) {
-        if (ring_->PushBatch(&events[i], 1) == 1) {
-          ++stats_.pushed;
-        } else {
-          ++stats_.shed_critical;
-        }
-      } else {
-        ++stats_.shed_low;
-      }
+  struct Push final : TraceSink {
+    explicit Push(SpscRing* r) : ring(r) {
+      ATHENA_CHECK(r != nullptr, "RingTraceSink needs a ring");
     }
-    const std::size_t depth = ring_->SizeEstimate();
-    if (depth > stats_.high_water) stats_.high_water = depth;
-  }
 
-  SpscRing* ring_;
-  RingStats stats_;
-  std::size_t fill_ = 0;
-  std::array<TraceEvent, kBatch> buffer_;
+    void Emit(const TraceEvent& event) override { EmitBatch(&event, 1); }
+
+    void EmitBatch(const TraceEvent* events, std::size_t count) override {
+      const std::size_t accepted = ring->PushBatch(events, count);
+      stats.pushed += accepted;
+      // Full ring: shed the remainder in resilience-tier order — low-
+      // priority events go first, critical events (the detectors'
+      // evidence stream) get an individual retry against whatever slots
+      // the collector has freed meanwhile. Relative order of the events
+      // that do land is preserved.
+      for (std::size_t i = accepted; i < count; ++i) {
+        if (CriticalTraceEvent(events[i])) {
+          if (ring->PushBatch(&events[i], 1) == 1) {
+            ++stats.pushed;
+          } else {
+            ++stats.shed_critical;
+          }
+        } else {
+          ++stats.shed_low;
+        }
+      }
+      const std::size_t depth = ring->SizeEstimate();
+      if (depth > stats.high_water) stats.high_water = depth;
+    }
+
+    SpscRing* ring;
+    RingStats stats;
+  };
+
+  Push push_;
 };
 
 }  // namespace athena::obs::pipeline

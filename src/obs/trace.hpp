@@ -116,10 +116,10 @@ class TraceSink {
   }
 
   /// Bump-pointer fast path: sinks with contiguous slot storage (an
-  /// unbudgeted TraceRecorder's chunk tail, TraceBatcher's and the ring
-  /// sink's inline buffers) arm a reservation window over it, and the
-  /// emit helpers then construct events *in place* — no stack copy, no
-  /// virtual call — until the window is exhausted. Returns null when no
+  /// unbudgeted TraceRecorder's chunk tail, TraceBatcher's inline buffer)
+  /// arm a reservation window over it, and the emit helpers then
+  /// construct events *in place* — no stack copy, no virtual call —
+  /// until the window is exhausted. Returns null when no
   /// window is armed (fanout, budgeted recorder, consumer-side sinks);
   /// callers fall back to the virtual Emit. This is where the sub-82 ns
   /// batched emit cost comes from: one virtual call per window, one
@@ -472,9 +472,12 @@ class TraceFanout final : public TraceSink {
 /// Amortizes the virtual dispatch (and, with a ring downstream, the
 /// atomic release) over kBatch events; call `Flush()` at a quiescent
 /// point (end of run, checkpoint) — the destructor also flushes.
+/// pipeline::RingTraceSink is this batcher over a ring push; a subclass
+/// that owns its downstream must flush in its own destructor, while the
+/// downstream is still alive.
 ///
 /// Single-threaded like every TraceSink: install one per thread.
-class TraceBatcher final : public TraceSink {
+class TraceBatcher : public TraceSink {
  public:
   static constexpr std::size_t kBatch = 256;
 
@@ -511,10 +514,6 @@ class TraceBatcher final : public TraceSink {
       fill_ = 0;
     }
     ArmReserveWindow(buffer_.data(), buffer_.data() + kBatch);
-  }
-
-  [[nodiscard]] std::size_t pending() const {
-    return static_cast<std::size_t>(reserve_cursor() - buffer_.data());
   }
 
  private:

@@ -28,19 +28,14 @@
 
 namespace athena::resilience {
 
-/// Byte budgets; 0 = unbounded (the default — overload control is
-/// strictly opt-in and costs nothing when disabled).
+/// The governor's byte budget; 0 = unbounded (the default — overload
+/// control is strictly opt-in and costs nothing when disabled). The trace
+/// recorder's budget is set on the recorder (set_byte_budget).
 struct MemoryBudget {
-  /// obs::TraceRecorder chunk storage (enforced via set_byte_budget).
-  std::size_t trace_bytes = 0;
   /// Correlator input streams: telemetry + the three capture logs.
   std::size_t input_bytes = 0;
-  /// Live EventLog ring, in records (maps to LiveEngine log_capacity).
-  std::size_t event_log_records = 0;
 
-  [[nodiscard]] bool any() const {
-    return trace_bytes > 0 || input_bytes > 0 || event_log_records > 0;
-  }
+  [[nodiscard]] bool any() const { return input_bytes > 0; }
 };
 
 /// The governor's ledger: what was shed, why, from where.

@@ -30,7 +30,7 @@
 namespace athena::resilience {
 
 /// Digest of the WorldConfig fields that shape the simulation. Layout
-/// knobs (shards, threaded, correlate_jobs, pipeline) and fault-injection
+/// knobs (shards, threaded, correlate_jobs) and fault-injection
 /// knobs (crash point, quarantines) are deliberately excluded: the world
 /// digest is layout-invariant, and a supervisor must be able to restore
 /// a pre-fault snapshot under an updated fault plan — the replayed state

@@ -25,10 +25,6 @@
 #include "ran/config.hpp"
 #include "sim/time.hpp"
 
-namespace athena::obs::pipeline {
-class TelemetryPipeline;
-}  // namespace athena::obs::pipeline
-
 namespace athena::world {
 
 struct WorldConfig {
@@ -113,9 +109,6 @@ struct WorldConfig {
   /// Scenario prefix for fleet grouping; sessions report as
   /// "<scenario>/cell<initial-cell>".
   std::string scenario = "world";
-  /// Optional: per-shard telemetry ring ingest. Each shard worker binds
-  /// its own collector shard for the duration of the run.
-  obs::pipeline::TelemetryPipeline* pipeline = nullptr;
   /// Worker threads for the end-of-run correlate/summarize fan-out
   /// (deterministic at any value; results are folded in UE order).
   unsigned correlate_jobs = 1;

@@ -5,7 +5,6 @@
 #include <deque>
 #include <exception>
 #include <mutex>
-#include <optional>
 #include <sstream>
 #include <thread>
 #include <unordered_map>
@@ -15,8 +14,6 @@
 #include "obs/fleet/aggregate.hpp"
 #include "obs/fleet/slo.hpp"
 #include "obs/fleet/summary.hpp"
-#include "obs/pipeline/pipeline.hpp"
-#include "obs/trace.hpp"
 #include "sim/check.hpp"
 #include "sim/random.hpp"
 #include "sim/runner.hpp"
@@ -298,11 +295,6 @@ void WorldEngine::Collect(std::size_t s) {
 
 void WorldEngine::RunSequential(const sim::WindowSchedule& schedule,
                                 sim::BusyRecorder& busy) {
-  std::optional<obs::ScopedTraceSink> scope;
-  if (config_.pipeline != nullptr) {
-    config_.pipeline->BindCurrentThread();
-    scope.emplace(config_.pipeline->CurrentThreadSink());
-  }
   for (std::uint64_t k = 1; k <= schedule.windows; ++k) {
     const sim::TimePoint window_end = schedule.WindowEnd(k);
     for (std::size_t s = 0; s < shard_count_; ++s) {
@@ -313,10 +305,6 @@ void WorldEngine::RunSequential(const sim::WindowSchedule& schedule,
     for (std::size_t s = 0; s < shard_count_; ++s) Publish(s);
     for (std::size_t s = 0; s < shard_count_; ++s) Collect(s);
     if (window_hook_) window_hook_(k);
-  }
-  if (config_.pipeline != nullptr) {
-    scope.reset();
-    config_.pipeline->UnbindCurrentThread();
   }
 }
 
@@ -332,13 +320,6 @@ void WorldEngine::RunThreaded(const sim::WindowSchedule& schedule,
   workers.reserve(shard_count);
   for (std::size_t s = 0; s < shard_count; ++s) {
     workers.emplace_back([&, s] {
-      // Per-shard telemetry ring: each worker binds its own collector
-      // shard so trace ingest never contends across shards.
-      std::optional<obs::ScopedTraceSink> scope;
-      if (config_.pipeline != nullptr) {
-        config_.pipeline->BindCurrentThread();
-        scope.emplace(config_.pipeline->CurrentThreadSink());
-      }
       for (std::uint64_t k = 1; k <= schedule.windows; ++k) {
         if (!failed.load(std::memory_order_relaxed)) {
           try {
@@ -373,10 +354,6 @@ void WorldEngine::RunThreaded(const sim::WindowSchedule& schedule,
           }
           barrier.Sync();
         }
-      }
-      if (config_.pipeline != nullptr) {
-        scope.reset();
-        config_.pipeline->UnbindCurrentThread();
       }
     });
   }

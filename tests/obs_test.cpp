@@ -580,4 +580,98 @@ TEST(TraceRecorder, ChunkedStorageSurvivesBoundaries) {
   EXPECT_EQ(recorder.CountLayer(obs::Layer::kCc), 1u);
 }
 
+// --- TraceBatcher ---
+
+/// Downstream of a batcher under test: keeps every event and the size of
+/// every batch it was handed.
+class BatchRecorder final : public obs::TraceSink {
+ public:
+  void Emit(const obs::TraceEvent& event) override { EmitBatch(&event, 1); }
+  void EmitBatch(const obs::TraceEvent* events, std::size_t count) override {
+    batches.push_back(count);
+    events_.insert(events_.end(), events, events + count);
+  }
+
+  /// Event timestamps in µs, in arrival order.
+  [[nodiscard]] std::vector<std::int64_t> Times() const {
+    std::vector<std::int64_t> out;
+    for (const obs::TraceEvent& e : events_) out.push_back(e.ts.us());
+    return out;
+  }
+
+  std::vector<std::size_t> batches;
+
+ private:
+  std::vector<obs::TraceEvent> events_;
+};
+
+sim::TimePoint AtUs(std::int64_t us) { return sim::kEpoch + std::chrono::microseconds{us}; }
+
+obs::TraceEvent EventAt(std::int64_t us) {
+  obs::TraceEvent e;
+  e.name = obs::names::kPktHop.id;
+  e.ts = AtUs(us);
+  return e;
+}
+
+TEST(TraceBatcher, EveryEmitPathDeliversEachEventOnceInOrder) {
+  BatchRecorder downstream;
+  std::int64_t next = 0;  // the timestamp, in µs, of the next event
+  {
+    obs::TraceBatcher batcher{&downstream};
+    obs::ScopedTraceSink scope{&batcher};
+    // Rounds of 7 events mix the reservation window (instant, async
+    // pair), the virtual Emit and a pass-through EmitBatch, so every path
+    // meets a full and a part-full buffer over the 300 rounds.
+    for (int round = 0; round < 300; ++round) {
+      obs::TraceInstant(obs::Layer::kNet, obs::names::kPktHop, AtUs(next++));
+      obs::TraceAsyncSpan(obs::Layer::kRan, obs::names::kRanTransit, 1, AtUs(next),
+                          AtUs(next + 1));
+      next += 2;
+      batcher.Emit(EventAt(next++));
+      const obs::TraceEvent batch[] = {EventAt(next), EventAt(next + 1), EventAt(next + 2)};
+      batcher.EmitBatch(batch, 3);
+      next += 3;
+    }
+  }
+  const std::vector<std::int64_t> times = downstream.Times();
+  ASSERT_EQ(times.size(), static_cast<std::size_t>(next));
+  for (std::int64_t i = 0; i < next; ++i) ASSERT_EQ(times[static_cast<std::size_t>(i)], i);
+}
+
+TEST(TraceBatcher, FlushesExactlyKBatchEventsPerBatch) {
+  constexpr std::size_t kBatch = obs::TraceBatcher::kBatch;
+  BatchRecorder downstream;
+  obs::TraceBatcher batcher{&downstream};
+  // Virtual Emit: the kBatch-th event flushes the full buffer at once.
+  for (std::size_t i = 0; i + 1 < kBatch; ++i) batcher.Emit(EventAt(0));
+  EXPECT_TRUE(downstream.batches.empty());
+  batcher.Emit(EventAt(0));
+  EXPECT_EQ(downstream.batches, std::vector<std::size_t>{kBatch});
+
+  // Reservation window: the buffer fills in place, and the event that
+  // finds it full flushes it before taking the first slot of the next.
+  obs::ScopedTraceSink scope{&batcher};
+  for (std::size_t i = 0; i < kBatch; ++i) {
+    obs::TraceInstant(obs::Layer::kNet, obs::names::kPktHop, AtUs(0));
+  }
+  EXPECT_EQ(downstream.batches.size(), 1u);
+  obs::TraceInstant(obs::Layer::kNet, obs::names::kPktHop, AtUs(0));
+  EXPECT_EQ(downstream.batches, (std::vector<std::size_t>{kBatch, kBatch}));
+}
+
+TEST(TraceBatcher, DestructionFlushesTheRest) {
+  BatchRecorder downstream;
+  {
+    obs::TraceBatcher batcher{&downstream};
+    obs::ScopedTraceSink scope{&batcher};
+    obs::TraceInstant(obs::Layer::kNet, obs::names::kPktHop, AtUs(0));
+    batcher.Emit(EventAt(1));
+    obs::TraceInstant(obs::Layer::kNet, obs::names::kPktHop, AtUs(2));
+    EXPECT_TRUE(downstream.batches.empty());
+  }
+  EXPECT_EQ(downstream.batches, std::vector<std::size_t>{3});
+  EXPECT_EQ(downstream.Times(), (std::vector<std::int64_t>{0, 1, 2}));
+}
+
 }  // namespace

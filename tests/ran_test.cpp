@@ -1,11 +1,15 @@
 #include <chrono>
 #include <map>
 #include <memory>
+#include <ostream>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "mitigation/app_aware_policy.hpp"
+#include "mitigation/traffic_predictor.hpp"
 #include "ran/channel.hpp"
 #include "ran/config.hpp"
 #include "ran/cross_traffic.hpp"
@@ -573,9 +577,35 @@ class MultiUeUplinkTest : public ::testing::Test {
   std::unique_ptr<MultiUeUplink> cell_;
 };
 
-TEST_F(MultiUeUplinkTest, DueRequestedGrantIsServedBeforeProactiveGrants) {
+/// UE 2's grant policy. Each one issues its BSR machinery's requested
+/// grants, so each must claim the slot a requested grant matures in.
+struct PolicyCase {
+  const char* name;
+  std::unique_ptr<GrantPolicy> (*make)(const RanConfig&);
+};
+
+void PrintTo(const PolicyCase& policy, std::ostream* os) { *os << policy.name; }
+
+const PolicyCase kDueRequestPolicies[] = {
+    {"Bsr", [](const RanConfig& cell) -> std::unique_ptr<GrantPolicy> {
+       return std::make_unique<BsrGrantPolicy>(cell);
+     }},
+    {"AppAware", [](const RanConfig& cell) -> std::unique_ptr<GrantPolicy> {
+       return std::make_unique<mitigation::AppAwareGrantPolicy>(cell);
+     }},
+    {"TrafficPredictor", [](const RanConfig& cell) -> std::unique_ptr<GrantPolicy> {
+       return std::make_unique<mitigation::TrafficPredictorPolicy>(cell);
+     }},
+};
+
+class DueRequestTest : public MultiUeUplinkTest,
+                       public ::testing::WithParamInterface<PolicyCase> {};
+
+TEST_P(DueRequestTest, DueRequestedGrantIsServedBeforeProactiveGrants) {
   Build(OneGrantPerSlotCell());
-  for (std::uint32_t ue = 0; ue < 4; ++ue) Attach(ue);
+  for (std::uint32_t ue = 0; ue < 4; ++ue) {
+    Attach(ue, {.base_bler = 0.0}, ue == 2 ? GetParam().make(config_) : nullptr);
+  }
   cell_->Start();
   // A 10 kB burst on UE 2. Its demand reaches the gNB at the 2.5 ms slot
   // (by SR or piggy-backed BSR), so a requested grant matures at 12.5 ms.
@@ -597,6 +627,11 @@ TEST_F(MultiUeUplinkTest, DueRequestedGrantIsServedBeforeProactiveGrants) {
   }
   EXPECT_EQ(tbs_at_maturity, 1u);
 }
+
+INSTANTIATE_TEST_SUITE_P(UeTwoPolicy, DueRequestTest, ::testing::ValuesIn(kDueRequestPolicies),
+                         [](const ::testing::TestParamInfo<PolicyCase>& info) {
+                           return std::string{info.param.name};
+                         });
 
 TEST_F(MultiUeUplinkTest, ProactiveGrantsRotateSoNoUeStarves) {
   constexpr std::uint32_t kUes = 4;
