@@ -3,10 +3,11 @@
 // stack must keep every value byte-identical. A deliberate behaviour
 // change re-baselines the constants once, with a written justification.
 //
-// Each session case pins four witnesses: the StateDigest of the
+// Each session case pins five witnesses: the StateDigest of the
 // correlator input (every capture and telemetry record), a digest of the
 // rendered cross-layer report, a digest of the RAN ground truth (which
-// packet bytes rode which TB chain), and the kernel's event count. Each
+// packet bytes rode which TB chain), the kernel's event count, and a
+// digest of every field of the correlated dataset. Each
 // two-party case pins both directions' correlator inputs, the downlink's
 // telemetry and backlog, both directions' RAN counters, each end's QoE
 // and packet counts, and the event count. Each world case pins the world
@@ -16,6 +17,7 @@
 // behind sim::Rng are implementation-defined, so other standard
 // libraries draw different (equally valid) random streams.
 #include <array>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -30,6 +32,7 @@
 #include "app/two_party.hpp"
 #include "core/correlator.hpp"
 #include "core/report.hpp"
+#include "fault/fault.hpp"
 #include "mitigation/app_aware_policy.hpp"
 #include "ran/grant_policy.hpp"
 #include "resilience/checkpoint.hpp"
@@ -52,6 +55,7 @@ struct SessionPin {
   std::uint64_t report = 0;
   std::uint64_t truth = 0;
   std::uint64_t events = 0;
+  std::uint64_t dataset = 0;
 };
 
 struct PinnedRun {
@@ -60,16 +64,81 @@ struct PinnedRun {
 };
 
 using Arm = std::function<void(sim::Simulator&, app::Session&)>;
+/// Rewrites the correlator input before it is digested and correlated.
+using Impair = std::function<void(core::CorrelatorInput&)>;
+
+/// Every field of the correlated dataset: each packet record (its chains
+/// and the bits of its match confidence included), each frame record, the
+/// four stream healths, the health scalars and both unmatched-byte counts.
+std::uint64_t DatasetDigest(const core::CrossLayerDataset& data) {
+  resilience::StateDigest d;
+  const auto at = [&d](sim::TimePoint t) { d.Mix(static_cast<std::uint64_t>(t.us())); };
+  const auto span = [&d](sim::Duration x) { d.Mix(static_cast<std::uint64_t>(x.count())); };
+  const auto real = [&d](double v) { d.Mix(std::bit_cast<std::uint64_t>(v)); };
+  d.Mix(data.packets.size());
+  for (const core::CrossLayerRecord& r : data.packets) {
+    d.Mix(r.packet_id);
+    d.Mix(static_cast<std::uint64_t>(r.kind));
+    d.Mix(r.size_bytes);
+    d.Mix(r.frame_id);
+    d.Mix(static_cast<std::uint64_t>(r.layer));
+    at(r.sent_at);
+    at(r.core_at);
+    d.Mix(r.reached_core ? 1u : 0u);
+    at(r.receiver_at);
+    d.Mix(r.reached_receiver ? 1u : 0u);
+    d.Mix(r.tb_chains.size());
+    for (const ran::TbId chain : r.tb_chains) d.Mix(chain);
+    d.Mix(r.max_harq_rounds);
+    d.Mix(static_cast<std::uint64_t>(r.last_grant));
+    span(r.uplink_owd);
+    span(r.sched_wait);
+    span(r.transmission_spread);
+    span(r.rtx_inflation);
+    span(r.wan_owd);
+    d.Mix(static_cast<std::uint64_t>(r.primary_cause));
+    real(r.match_confidence);
+  }
+  d.Mix(data.frames.size());
+  for (const core::FrameRecord& f : data.frames) {
+    d.Mix(f.frame_id);
+    d.Mix(static_cast<std::uint64_t>(f.layer));
+    d.Mix(f.is_audio ? 1u : 0u);
+    d.Mix(f.packets);
+    at(f.first_sent);
+    at(f.last_sent);
+    at(f.first_core);
+    at(f.last_core);
+    d.Mix(f.complete_at_core ? 1u : 0u);
+  }
+  const core::CorrelationHealth& h = data.health;
+  for (const core::StreamHealth* s : {&h.telemetry, &h.sender, &h.core, &h.receiver}) {
+    d.Mix(static_cast<std::uint64_t>(s->state));
+    d.Mix(s->records);
+    d.Mix(s->duplicates_dropped);
+    d.Mix(s->out_of_order);
+    d.Mix(s->gaps);
+    span(s->longest_gap);
+  }
+  d.Mix(h.uncovered_packets);
+  d.Mix(h.phantom_tb_bytes);
+  d.Mix(h.phantom_capacity ? 1u : 0u);
+  real(h.mean_match_confidence);
+  d.Mix(data.unmatched_tb_bytes);
+  d.Mix(data.unmatched_packet_bytes);
+  return d.value();
+}
 
 PinnedRun RunSession(const app::SessionConfig& config, sim::Duration span,
-                     const Arm& arm = {}) {
+                     const Arm& arm = {}, const Impair& impair = {}) {
   sim::Simulator sim;
   app::Session session{sim, config};
   if (arm) arm(sim, session);
   session.Run(span);
 
   PinnedRun run;
-  const core::CorrelatorInput input = session.BuildCorrelatorInput();
+  core::CorrelatorInput input = session.BuildCorrelatorInput();
+  if (impair) impair(input);
   resilience::StateDigest input_digest;
   input_digest.Mix(input);
   run.pin.input = input_digest.value();
@@ -87,6 +156,7 @@ PinnedRun RunSession(const app::SessionConfig& config, sim::Duration span,
   resilience::StateDigest report_digest;
   report_digest.Mix(report.str());
   run.pin.report = report_digest.value();
+  run.pin.dataset = DatasetDigest(data);
 
   resilience::StateDigest truth_digest;
   for (const ran::TbTruth& chain : uplink.truth()) {
@@ -114,6 +184,7 @@ void ExpectPinned(const SessionPin& got, const SessionPin& want) {
   EXPECT_EQ(got.report, want.report) << "report digest " << Hex(got.report);
   EXPECT_EQ(got.truth, want.truth) << "ground-truth digest " << Hex(got.truth);
   EXPECT_EQ(got.events, want.events) << "events executed " << got.events;
+  EXPECT_EQ(got.dataset, want.dataset) << "dataset digest " << Hex(got.dataset);
 }
 
 /// A loaded fading cell: cross traffic with slow modulation, so every
@@ -152,7 +223,7 @@ TEST(DigestPinTest, ChannelHandovers) {
   config.channel.handover_duration = 150ms;
   const PinnedRun run = RunSession(config, 10s);
   ExpectPinned(run.pin, {0x0e4a540f5dfa5ae1ULL, 0x3e97c280c23517e0ULL,
-                         0x4ad3938c2e85327aULL, 13467});
+                         0x4ad3938c2e85327aULL, 13467, 0x67ea857063d857d2ULL});
 }
 
 TEST(DigestPinTest, HarqChainDrops) {
@@ -163,7 +234,7 @@ TEST(DigestPinTest, HarqChainDrops) {
   const PinnedRun run = RunSession(config, 10s);
   EXPECT_GT(run.counters.tb_dropped_chains, 0u);
   ExpectPinned(run.pin, {0x6a0acdec41f769c7ULL, 0x8685402d35ae6d4bULL,
-                         0xb357d55e1280fe0fULL, 15865});
+                         0xb357d55e1280fe0fULL, 15865, 0xbdb9d55acebccf95ULL});
 }
 
 TEST(DigestPinTest, L4sEcnMarking) {
@@ -174,7 +245,7 @@ TEST(DigestPinTest, L4sEcnMarking) {
   const PinnedRun run = RunSession(config, 10s);
   EXPECT_GT(run.counters.ecn_marked, 0u);
   ExpectPinned(run.pin, {0x5ccf4eb04bb446dbULL, 0x347fb7547cb49974ULL,
-                         0xc545d8a7fb1ccca6ULL, 16403});
+                         0xc545d8a7fb1ccca6ULL, 16403, 0x5c33f734f38ce02fULL});
 }
 
 TEST(DigestPinTest, FddLikeCell) {
@@ -183,7 +254,7 @@ TEST(DigestPinTest, FddLikeCell) {
   config.cell = ran::RanConfig::FddLikeCell();
   const PinnedRun run = RunSession(config, 10s);
   ExpectPinned(run.pin, {0x7f0455f87d8ef5e3ULL, 0x2bbd0afc7eb5c921ULL,
-                         0x48f7d04a11c09c6eULL, 31721});
+                         0x48f7d04a11c09c6eULL, 31721, 0x64e32a5111c2b12aULL});
 }
 
 TEST(DigestPinTest, NoProactiveGrants) {
@@ -192,7 +263,7 @@ TEST(DigestPinTest, NoProactiveGrants) {
   config.cell = ran::RanConfig::PaperCellNoProactive();
   const PinnedRun run = RunSession(config, 10s);
   ExpectPinned(run.pin, {0xfb750b1fbfc09872ULL, 0x34819922737121e1ULL,
-                         0xcfe239c8ce670ed4ULL, 15211});
+                         0xcfe239c8ce670ed4ULL, 15211, 0x42fac2b33b20190cULL});
 }
 
 TEST(DigestPinTest, CustomGrantPolicy) {
@@ -203,7 +274,7 @@ TEST(DigestPinTest, CustomGrantPolicy) {
   };
   const PinnedRun run = RunSession(config, 10s);
   ExpectPinned(run.pin, {0x5827ecc499e98d1aULL, 0xee09efeea244d144ULL,
-                         0x2aa5732102d39585ULL, 15920});
+                         0x2aa5732102d39585ULL, 15920, 0xd73b69ec84ddb9d0ULL});
 }
 
 TEST(DigestPinTest, TunablePolicySwitchedMidRun) {
@@ -228,7 +299,49 @@ TEST(DigestPinTest, TunablePolicySwitchedMidRun) {
   };
   const PinnedRun run = RunSession(config, 10s, arm);
   ExpectPinned(run.pin, {0x07ff800cf0f3fd28ULL, 0xf15be5a7d2aeb5ebULL,
-                         0x821a346aecb222c1ULL, 15877});
+                         0x821a346aecb222c1ULL, 15877, 0x5bb95c145a62ec1eULL});
+}
+
+/// Drives the correlator's repair paths: chain ids relabelled by a
+/// non-monotone bijection, every 16th new chain moved onto its
+/// predecessor's slot (so chains share a first slot and must be ordered
+/// by id), then all four feeds dropped, duplicated, reordered and delayed.
+void ImpairAllFeeds(core::CorrelatorInput& input) {
+  for (std::size_t i = 0; i < input.telemetry.size(); ++i) {
+    ran::TbRecord& tb = input.telemetry[i];
+    tb.chain_id *= 0x9e3779b97f4a7c15ULL;  // odd factor: a bijection mod 2^64
+    if (i > 0 && i % 16 == 0 && tb.harq_round == 0) {
+      tb.slot_time = input.telemetry[i - 1].slot_time;
+    }
+  }
+  fault::FaultPlan plan;
+  for (const fault::Stream stream :
+       {fault::Stream::kTelemetry, fault::Stream::kSenderCapture, fault::Stream::kCoreCapture,
+        fault::Stream::kReceiverCapture}) {
+    fault::FaultSpec& spec = plan.For(stream);
+    spec.drop = 0.02;
+    spec.duplicate = 0.05;
+    spec.reorder = 0.1;
+    spec.reorder_depth = 6;
+    spec.delay = 0.02;
+    spec.delay_min = 100us;
+    spec.delay_max = 3ms;
+  }
+  fault::FaultInjector injector{plan, 91};
+  injector.Apply(fault::Stream::kTelemetry, input.telemetry);
+  injector.Apply(fault::Stream::kSenderCapture, input.sender);
+  injector.Apply(fault::Stream::kCoreCapture, input.core);
+  injector.Apply(fault::Stream::kReceiverCapture, input.receiver);
+}
+
+TEST(DigestPinTest, ImpairedFeedsWithRelabelledChains) {
+  ATHENA_REQUIRE_PINNED_RNG();
+  app::SessionConfig config = LoadedCell(28);
+  config.channel.handover_interval = 3s;
+  config.channel.handover_duration = 150ms;
+  const PinnedRun run = RunSession(config, 10s, {}, ImpairAllFeeds);
+  ExpectPinned(run.pin, {0x15c3c6e50498a18bULL, 0x772d8dc117a25d87ULL,
+                         0x6f2f82b610e17972ULL, 14494, 0x73a9178cdf499494ULL});
 }
 
 // ---------- two-party call ----------
