@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <chrono>
 
 #include <gtest/gtest.h>
@@ -242,6 +243,69 @@ TEST_F(CorrelatorSyntheticTest, FindHelpers) {
   EXPECT_EQ(data.FindFrame(43), nullptr);
 }
 
+// A packet sent in [a - ul_slot_period, b) of a corroborated telemetry gap
+// (a, b) has its match confidence capped at 0.25. Zero-byte packets need
+// no TB coverage, so every other record keeps confidence 1.0.
+TEST_F(CorrelatorSyntheticTest, GapWindowBoundariesCapConfidence) {
+  CorrelatorInput input;
+  const sim::Duration slot = input.cell.ul_slot_period;
+  const sim::Duration margin = input.cell.ue_processing_delay + input.cell.gnb_to_core_delay + slot;
+  const auto at_slot = [&](int k) { return kEpoch + k * slot; };
+  // Silent spells in slots; the two spells around slot 120 share it as an
+  // endpoint, and the one from slot 240 has no traffic inside (idle).
+  const std::vector<std::pair<int, int>> spells = {
+      {20, 40}, {60, 80}, {100, 120}, {120, 140}, {160, 180}, {200, 220}, {240, 260}};
+  const int last_slot = 300;
+  ran::TbId tb_id = 0;
+  for (int k = 0; k <= last_slot; ++k) {
+    const bool silent = std::any_of(spells.begin(), spells.end(),
+                                    [k](const auto& s) { return k > s.first && k < s.second; });
+    if (!silent) input.telemetry.push_back(Tb(++tb_id, at_slot(k), 2500, 0));
+  }
+  // One core arrival corroborates each spell but the idle one; the last
+  // arrival, long after the last TB, makes a truncated tail.
+  std::vector<std::pair<sim::TimePoint, sim::TimePoint>> windows;
+  net::PacketId core_id = 1'000'000;
+  for (const auto& [a, b] : spells) {
+    if (a == 240) continue;
+    windows.emplace_back(at_slot(a), at_slot(b));
+    input.core.push_back({.packet_id = ++core_id, .local_ts = at_slot((a + b) / 2) + margin});
+  }
+  const sim::TimePoint tail_end = at_slot(last_slot + 20);
+  windows.emplace_back(at_slot(last_slot), tail_end);
+  input.core.push_back({.packet_id = ++core_id, .local_ts = tail_end});
+
+  // Packets 1 us before each window's capped range, at its first and last
+  // capped microsecond, and at its (uncapped) end; the idle spell too.
+  std::vector<sim::TimePoint> sends;
+  for (const auto& [a, b] : windows) {
+    for (const sim::TimePoint t : {a - slot - 1us, a - slot, b - 1us, b}) sends.push_back(t);
+  }
+  for (const sim::TimePoint t : {at_slot(240) - slot, at_slot(260) - 1us}) sends.push_back(t);
+  std::sort(sends.begin(), sends.end());
+  sends.erase(std::unique(sends.begin(), sends.end()), sends.end());
+  net::PacketId id = 0;
+  for (const sim::TimePoint t : sends) {
+    ++id;
+    input.sender.push_back(SenderRecord(id, t, 0, id));
+  }
+
+  const auto data = Correlator::Correlate(input);
+  EXPECT_EQ(data.health.telemetry.gaps, windows.size());
+  ASSERT_EQ(data.packets.size(), sends.size());
+  std::size_t capped = 0;
+  for (const CrossLayerRecord& p : data.packets) {
+    const bool in_window = std::any_of(windows.begin(), windows.end(), [&](const auto& w) {
+      return p.sent_at >= w.first - slot && p.sent_at < w.second;
+    });
+    EXPECT_EQ(p.match_confidence, in_window ? 0.25 : 1.0)
+        << "packet sent at " << p.sent_at.us() << " us";
+    capped += in_window ? 1 : 0;
+  }
+  // Two per window, plus both sides of the shared endpoint at slot 120.
+  EXPECT_EQ(capped, 2 * windows.size() + 2);
+}
+
 TEST_F(CorrelatorSyntheticTest, RootCauseNames) {
   EXPECT_STREQ(ToString(RootCause::kBsrWait), "bsr-wait");
   EXPECT_STREQ(ToString(RootCause::kRetransmission), "retransmission");
@@ -320,15 +384,65 @@ TEST_F(CorrelatorEndToEndTest, RetransmittedPacketsClassified) {
   EXPECT_GT(breakdown.at(RootCause::kRetransmission), 0u);
 }
 
-// Regression: duplicated and out-of-order input records must be repaired
-// (deduped, re-sorted), counted in StreamHealth, and must not change the
-// correlation result relative to the clean feed.
+/// Every field of every packet and frame record; the health counters are
+/// left to the caller.
+void ExpectSameRecords(const CrossLayerDataset& got, const CrossLayerDataset& want) {
+  ASSERT_EQ(got.packets.size(), want.packets.size());
+  for (std::size_t i = 0; i < got.packets.size(); ++i) {
+    const CrossLayerRecord& g = got.packets[i];
+    const CrossLayerRecord& w = want.packets[i];
+    SCOPED_TRACE(testing::Message() << "packet " << w.packet_id);
+    EXPECT_EQ(g.packet_id, w.packet_id);
+    EXPECT_EQ(g.kind, w.kind);
+    EXPECT_EQ(g.size_bytes, w.size_bytes);
+    EXPECT_EQ(g.frame_id, w.frame_id);
+    EXPECT_EQ(g.layer, w.layer);
+    EXPECT_EQ(g.sent_at, w.sent_at);
+    EXPECT_EQ(g.core_at, w.core_at);
+    EXPECT_EQ(g.reached_core, w.reached_core);
+    EXPECT_EQ(g.receiver_at, w.receiver_at);
+    EXPECT_EQ(g.reached_receiver, w.reached_receiver);
+    EXPECT_EQ(g.tb_chains, w.tb_chains);
+    EXPECT_EQ(g.max_harq_rounds, w.max_harq_rounds);
+    EXPECT_EQ(g.last_grant, w.last_grant);
+    EXPECT_EQ(g.uplink_owd, w.uplink_owd);
+    EXPECT_EQ(g.sched_wait, w.sched_wait);
+    EXPECT_EQ(g.transmission_spread, w.transmission_spread);
+    EXPECT_EQ(g.rtx_inflation, w.rtx_inflation);
+    EXPECT_EQ(g.wan_owd, w.wan_owd);
+    EXPECT_EQ(g.primary_cause, w.primary_cause);
+    EXPECT_EQ(g.match_confidence, w.match_confidence);
+  }
+  ASSERT_EQ(got.frames.size(), want.frames.size());
+  for (std::size_t i = 0; i < got.frames.size(); ++i) {
+    const FrameRecord& g = got.frames[i];
+    const FrameRecord& w = want.frames[i];
+    SCOPED_TRACE(testing::Message() << "frame " << w.frame_id);
+    EXPECT_EQ(g.frame_id, w.frame_id);
+    EXPECT_EQ(g.layer, w.layer);
+    EXPECT_EQ(g.is_audio, w.is_audio);
+    EXPECT_EQ(g.packets, w.packets);
+    EXPECT_EQ(g.first_sent, w.first_sent);
+    EXPECT_EQ(g.last_sent, w.last_sent);
+    EXPECT_EQ(g.first_core, w.first_core);
+    EXPECT_EQ(g.last_core, w.last_core);
+    EXPECT_EQ(g.complete_at_core, w.complete_at_core);
+  }
+  EXPECT_EQ(got.unmatched_tb_bytes, want.unmatched_tb_bytes);
+  EXPECT_EQ(got.unmatched_packet_bytes, want.unmatched_packet_bytes);
+}
+
+// Regression: duplicated and out-of-order records in any of the four feeds
+// must be repaired (deduped, re-sorted), counted in StreamHealth, and must
+// not change the correlation result relative to the clean feeds.
 TEST_F(CorrelatorEndToEndTest, DuplicateAndReorderedRecordsAreRepairedAndCounted) {
   Run(app::SessionConfig{});
   auto input = session_->BuildCorrelatorInput();
 
+  const auto streams = {fault::Stream::kTelemetry, fault::Stream::kSenderCapture,
+                        fault::Stream::kCoreCapture, fault::Stream::kReceiverCapture};
   fault::FaultPlan plan;
-  for (auto stream : {fault::Stream::kTelemetry, fault::Stream::kSenderCapture}) {
+  for (const fault::Stream stream : streams) {
     auto& spec = plan.For(stream);
     spec.duplicate = 0.2;
     spec.reorder = 0.25;
@@ -337,26 +451,26 @@ TEST_F(CorrelatorEndToEndTest, DuplicateAndReorderedRecordsAreRepairedAndCounted
   fault::FaultInjector injector{plan, 77};
   injector.Apply(fault::Stream::kTelemetry, input.telemetry);
   injector.Apply(fault::Stream::kSenderCapture, input.sender);
+  injector.Apply(fault::Stream::kCoreCapture, input.core);
+  injector.Apply(fault::Stream::kReceiverCapture, input.receiver);
 
   const auto impaired = Correlator::Correlate(input);
 
   // Duplicates and reorderings carry the same information as the clean
-  // feed: the correlator must recover the identical per-packet dataset.
-  ASSERT_EQ(impaired.packets.size(), dataset_.packets.size());
-  for (std::size_t i = 0; i < impaired.packets.size(); ++i) {
-    EXPECT_EQ(impaired.packets[i].packet_id, dataset_.packets[i].packet_id);
-    EXPECT_EQ(impaired.packets[i].tb_chains, dataset_.packets[i].tb_chains);
-  }
-  EXPECT_EQ(impaired.unmatched_tb_bytes, dataset_.unmatched_tb_bytes);
+  // feeds: the correlator must recover the identical dataset.
+  ExpectSameRecords(impaired, dataset_);
+  EXPECT_EQ(impaired.health.uncovered_packets, dataset_.health.uncovered_packets);
+  EXPECT_EQ(impaired.health.mean_match_confidence, dataset_.health.mean_match_confidence);
 
   // ...but it must never hide that repairs happened.
   EXPECT_FALSE(dataset_.health.degraded());
   EXPECT_TRUE(impaired.health.degraded());
-  EXPECT_GT(impaired.health.telemetry.duplicates_dropped, 0u);
-  EXPECT_GT(impaired.health.telemetry.out_of_order, 0u);
-  EXPECT_GT(impaired.health.sender.duplicates_dropped, 0u);
-  EXPECT_GT(impaired.health.sender.out_of_order, 0u);
-  EXPECT_EQ(impaired.health.telemetry.state, StreamHealth::State::kDegraded);
+  for (const StreamHealth* h : {&impaired.health.telemetry, &impaired.health.sender,
+                                &impaired.health.core, &impaired.health.receiver}) {
+    EXPECT_GT(h->duplicates_dropped, 0u);
+    EXPECT_GT(h->out_of_order, 0u);
+    EXPECT_EQ(h->state, StreamHealth::State::kDegraded);
+  }
 }
 
 // ---------- Analyzer ----------
