@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -55,8 +55,10 @@ struct PendingPacket {
   const net::CaptureRecord* record = nullptr;
   sim::TimePoint sent_common;
   std::uint32_t remaining = 0;
-  // Filled during the drain:
-  std::vector<const Correlator::TbChain*> chains;
+  // Filled during the drain: this packet's chains, as a range of the
+  // drained-chain array.
+  std::uint32_t first_chain = 0;
+  std::uint32_t chain_count = 0;
 };
 
 RootCause Classify(const CrossLayerRecord& rec, const ran::RanConfig& cell) {
@@ -140,7 +142,6 @@ CrossLayerDataset Correlator::Correlate(const CorrelatorInput& input) {
           .record = &rec,
           .sent_common = rec.local_ts + input.sender_offset,
           .remaining = rec.size_bytes,
-          .chains = {},
       });
     }
     health.sender.records = packets.size();
@@ -149,12 +150,16 @@ CrossLayerDataset Correlator::Correlate(const CorrelatorInput& input) {
   // capture logs are repaired by this sort. ----
   // Ties broken by packet id: ids are assigned in send order, so equal
   // timestamps (bursts within one clock tick) still drain in true FIFO
-  // order even when the capture log arrived permuted.
-  std::stable_sort(packets.begin(), packets.end(),
-                   [](const PendingPacket& a, const PendingPacket& b) {
-                     if (a.sent_common != b.sent_common) return a.sent_common < b.sent_common;
-                     return a.record->packet_id < b.record->packet_id;
-                   });
+  // order even when the capture log arrived permuted. This sort and the
+  // feed sorts below run only when their input is out of order, so an
+  // in-order feed pays for one linear check.
+  const auto send_order = [](const PendingPacket& a, const PendingPacket& b) {
+    if (a.sent_common != b.sent_common) return a.sent_common < b.sent_common;
+    return a.record->packet_id < b.record->packet_id;
+  };
+  if (!std::is_sorted(packets.begin(), packets.end(), send_order)) {
+    std::stable_sort(packets.begin(), packets.end(), send_order);
+  }
 
   // Telemetry: count order inversions, then sort and dedupe by tb_id (a
   // tb_id names one transmission; seeing it twice is a feed duplicate,
@@ -170,59 +175,83 @@ CrossLayerDataset Correlator::Correlate(const CorrelatorInput& input) {
       have_prev = true;
       telemetry.push_back(&tb);
     }
-    std::stable_sort(telemetry.begin(), telemetry.end(),
-                     [](const ran::TbRecord* a, const ran::TbRecord* b) {
-                       if (a->slot_time != b->slot_time) return a->slot_time < b->slot_time;
-                       return a->tb_id < b->tb_id;
-                     });
-    std::unordered_set<ran::TbId> seen_tx;
-    seen_tx.reserve(telemetry.size());
-    std::vector<const ran::TbRecord*> unique;
-    unique.reserve(telemetry.size());
-    for (const ran::TbRecord* tb : telemetry) {
-      if (!seen_tx.insert(tb->tb_id).second) {
-        ++health.telemetry.duplicates_dropped;
-        continue;
-      }
-      unique.push_back(tb);
+    const auto slot_order = [](const ran::TbRecord* a, const ran::TbRecord* b) {
+      if (a->slot_time != b->slot_time) return a->slot_time < b->slot_time;
+      return a->tb_id < b->tb_id;
+    };
+    if (!std::is_sorted(telemetry.begin(), telemetry.end(), slot_order)) {
+      std::stable_sort(telemetry.begin(), telemetry.end(), slot_order);
     }
-    telemetry.swap(unique);
+    // Ids that strictly increase along the sorted feed cannot repeat.
+    const auto id_not_increasing = [](const ran::TbRecord* a, const ran::TbRecord* b) {
+      return a->tb_id >= b->tb_id;
+    };
+    if (std::adjacent_find(telemetry.begin(), telemetry.end(), id_not_increasing) !=
+        telemetry.end()) {
+      std::unordered_set<ran::TbId> seen_tx;
+      seen_tx.reserve(telemetry.size());
+      std::size_t kept = 0;
+      for (const ran::TbRecord* tb : telemetry) {
+        if (seen_tx.insert(tb->tb_id).second) {
+          telemetry[kept++] = tb;
+        } else {
+          ++health.telemetry.duplicates_dropped;
+        }
+      }
+      telemetry.resize(kept);
+    }
     health.telemetry.records = telemetry.size();
   }
 
-  // ---- Step 2a: rebuild HARQ chains from the cleaned telemetry. ----
-  std::map<ran::TbId, TbChain> chains_by_id;
-  for (const ran::TbRecord* tb_ptr : telemetry) {
-    const ran::TbRecord& tb = *tb_ptr;
-    auto [it, inserted] = chains_by_id.try_emplace(tb.chain_id);
-    TbChain& chain = it->second;
-    if (inserted) {
-      chain.chain_id = tb.chain_id;
-      chain.first_tx = tb.slot_time;
-      chain.used_bytes = tb.used_bytes;
-      chain.grant = tb.grant;
-    }
-    chain.first_tx = std::min(chain.first_tx, tb.slot_time);
-    chain.rounds = std::max(chain.rounds, tb.harq_round);
-    if (tb.crc_ok && (!chain.decoded || tb.slot_time < chain.decoded_at)) {
-      chain.decoded = true;
-      chain.decoded_at = tb.slot_time;
+  // ---- Step 2a: rebuild HARQ chains from the cleaned telemetry, in
+  // order of first appearance. ----
+  std::vector<TbChain> chains;
+  chains.reserve(telemetry.size());
+  {
+    std::unordered_map<ran::TbId, std::uint32_t> chain_index;
+    chain_index.reserve(telemetry.size());
+    for (const ran::TbRecord* tb_ptr : telemetry) {
+      const ran::TbRecord& tb = *tb_ptr;
+      const auto [it, inserted] =
+          chain_index.try_emplace(tb.chain_id, static_cast<std::uint32_t>(chains.size()));
+      TbChain& chain = inserted ? chains.emplace_back() : chains[it->second];
+      if (inserted) {
+        chain.chain_id = tb.chain_id;
+        chain.first_tx = tb.slot_time;
+        chain.used_bytes = tb.used_bytes;
+        chain.grant = tb.grant;
+      }
+      chain.first_tx = std::min(chain.first_tx, tb.slot_time);
+      chain.rounds = std::max(chain.rounds, tb.harq_round);
+      if (tb.crc_ok && (!chain.decoded || tb.slot_time < chain.decoded_at)) {
+        chain.decoded = true;
+        chain.decoded_at = tb.slot_time;
+      }
     }
   }
-  std::vector<TbChain*> chains;
-  chains.reserve(chains_by_id.size());
-  for (auto& [id, chain] : chains_by_id) chains.push_back(&chain);
-  std::stable_sort(chains.begin(), chains.end(), [](const TbChain* a, const TbChain* b) {
-    return a->first_tx < b->first_tx;
-  });
+  // The drain order is (first_tx, chain_id). First appearances in the
+  // slot-sorted feed already follow first_tx, so only chains that share a
+  // first slot can be out of order.
+  const auto drain_order = [](const TbChain& a, const TbChain& b) {
+    if (a.first_tx != b.first_tx) return a.first_tx < b.first_tx;
+    return a.chain_id < b.chain_id;
+  };
+  if (!std::is_sorted(chains.begin(), chains.end(), drain_order)) {
+    std::sort(chains.begin(), chains.end(), drain_order);
+  }
 
   // ---- Step 2b: FIFO byte-conservation drain. The UE's RLC queue is
   // FIFO, so the n-th TB byte carries the n-th queued packet byte; no
   // eligibility heuristics needed, which also makes the matching immune
-  // to (bounded) clock-offset estimation error. ----
+  // to (bounded) clock-offset estimation error. The drain finishes one
+  // packet before it starts the next, so each packet's chains are one
+  // contiguous range of `drained`; a (chain, packet) pair meets once,
+  // because one of the two runs dry. ----
+  std::vector<std::uint32_t> drained;  // chain indices
+  drained.reserve(chains.size() + packets.size());
   std::size_t pkt_idx = 0;
-  for (TbChain* chain : chains) {
-    std::uint32_t avail = chain->used_bytes;
+  for (std::uint32_t c = 0; c < chains.size(); ++c) {
+    std::uint32_t avail = chains[c].used_bytes;
     while (avail > 0 && pkt_idx < packets.size()) {
       PendingPacket& pkt = packets[pkt_idx];
       if (pkt.remaining == 0) {
@@ -232,7 +261,8 @@ CrossLayerDataset Correlator::Correlate(const CorrelatorInput& input) {
       const std::uint32_t take = std::min(avail, pkt.remaining);
       pkt.remaining -= take;
       avail -= take;
-      if (pkt.chains.empty() || pkt.chains.back() != chain) pkt.chains.push_back(chain);
+      if (pkt.chain_count++ == 0) pkt.first_chain = static_cast<std::uint32_t>(drained.size());
+      drained.push_back(c);
       if (pkt.remaining == 0) ++pkt_idx;
     }
     out.unmatched_tb_bytes += avail;
@@ -300,11 +330,18 @@ CrossLayerDataset Correlator::Correlate(const CorrelatorInput& input) {
       gap_windows.emplace_back(last_tb_slot, core_arrivals.back());
     }
   }
+  // A packet sent in [a - slot, b) of a window (a, b) is in the gap. Both
+  // ends of the windows are non-decreasing (consecutive TBs of the sorted
+  // feed, then the tail from the last TB) and packets are visited in send
+  // order, so the first window that ends after a packet's send time is the
+  // only one that can hold it, and one forward cursor finds it.
+  std::size_t gap_cursor = 0;
   auto sent_in_gap = [&](sim::TimePoint sent) {
-    for (const auto& [a, b] : gap_windows) {
-      if (sent >= a - input.cell.ul_slot_period && sent < b) return true;
+    while (gap_cursor < gap_windows.size() && gap_windows[gap_cursor].second <= sent) {
+      ++gap_cursor;
     }
-    return false;
+    return gap_cursor < gap_windows.size() &&
+           sent >= gap_windows[gap_cursor].first - input.cell.ul_slot_period;
   };
 
   // ---- Step 3: emit per-packet records with delay decomposition. ----
@@ -328,20 +365,22 @@ CrossLayerDataset Correlator::Correlate(const CorrelatorInput& input) {
     }
     r.sent_at = pkt.sent_common;
 
-    if (!pkt.chains.empty()) {
-      sim::TimePoint delivered = pkt.chains.front()->first_tx;
-      sim::TimePoint last_first_tx = pkt.chains.front()->first_tx;
-      for (const TbChain* chain : pkt.chains) {
-        r.tb_chains.push_back(chain->chain_id);
-        r.max_harq_rounds = std::max(r.max_harq_rounds, chain->rounds);
-        last_first_tx = std::max(last_first_tx, chain->first_tx);
-        if (chain->decoded) delivered = std::max(delivered, chain->decoded_at);
+    if (pkt.chain_count > 0) {
+      const auto ids = std::span(drained).subspan(pkt.first_chain, pkt.chain_count);
+      const TbChain& first = chains[ids.front()];
+      sim::TimePoint delivered = first.first_tx;
+      sim::TimePoint last_first_tx = first.first_tx;
+      r.tb_chains.reserve(ids.size());
+      for (const std::uint32_t c : ids) {
+        const TbChain& chain = chains[c];
+        r.tb_chains.push_back(chain.chain_id);
+        r.max_harq_rounds = std::max(r.max_harq_rounds, chain.rounds);
+        last_first_tx = std::max(last_first_tx, chain.first_tx);
+        if (chain.decoded) delivered = std::max(delivered, chain.decoded_at);
       }
-      const TbChain* first = pkt.chains.front();
-      const TbChain* last = pkt.chains.back();
-      r.last_grant = last->grant;
-      r.sched_wait = std::max(first->first_tx - pkt.sent_common, sim::Duration{0});
-      r.transmission_spread = last_first_tx - first->first_tx;
+      r.last_grant = chains[ids.back()].grant;
+      r.sched_wait = std::max(first.first_tx - pkt.sent_common, sim::Duration{0});
+      r.transmission_spread = last_first_tx - first.first_tx;
       r.rtx_inflation = std::max(delivered - last_first_tx, sim::Duration{0});
     }
 
@@ -364,7 +403,7 @@ CrossLayerDataset Correlator::Correlate(const CorrelatorInput& input) {
         rec.size_bytes > pkt.remaining ? rec.size_bytes - pkt.remaining : 0;
     r.match_confidence =
         rec.size_bytes > 0 ? static_cast<double>(covered) / rec.size_bytes : 1.0;
-    if (!gap_windows.empty() && sent_in_gap(pkt.sent_common)) {
+    if (sent_in_gap(pkt.sent_common)) {
       r.match_confidence = std::min(r.match_confidence, 0.25);
     }
     confidence_sum += r.match_confidence;
@@ -389,47 +428,49 @@ CrossLayerDataset Correlator::Correlate(const CorrelatorInput& input) {
   }
   obs::CountInc("core.packets_correlated", out.packets.size());
 
-  // ---- Per-frame aggregation (L7). ----
+  // ---- Per-frame aggregation (L7), from the records just built: frames
+  // in order of first send, then sorted by id. ----
   struct FrameScratch {
     FrameRecord record;
     std::uint32_t expected = 0;
     std::uint32_t arrived_at_core = 0;
-    bool seen_core = false;
   };
-  std::map<std::uint64_t, FrameScratch> frames;
-  for (const auto& pkt : packets) {
-    const net::CaptureRecord& rec = *pkt.record;
+  std::vector<FrameScratch> frames;
+  std::unordered_map<std::uint64_t, std::uint32_t> frame_index;
+  for (std::size_t i = 0; i < packets.size(); ++i) {
+    const net::CaptureRecord& rec = *packets[i].record;
     if (!rec.rtp) continue;
-    const auto frame_id = rec.rtp->frame_id;
-    auto [it, inserted] = frames.try_emplace(frame_id);
-    FrameScratch& s = it->second;
+    const CrossLayerRecord& r = out.packets[i];
+    const auto [it, inserted] =
+        frame_index.try_emplace(r.frame_id, static_cast<std::uint32_t>(frames.size()));
+    FrameScratch& s = inserted ? frames.emplace_back() : frames[it->second];
     FrameRecord& f = s.record;
     if (inserted) {
-      f.frame_id = frame_id;
-      f.layer = rec.rtp->layer;
-      f.is_audio = rec.kind == net::PacketKind::kRtpAudio;
-      f.first_sent = pkt.sent_common;
-      f.last_sent = pkt.sent_common;
+      f.frame_id = r.frame_id;
+      f.layer = r.layer;
+      f.is_audio = r.kind == net::PacketKind::kRtpAudio;
+      f.first_sent = r.sent_at;
+      f.last_sent = r.sent_at;
       s.expected = rec.rtp->packets_in_frame;
     }
     ++f.packets;
-    f.first_sent = std::min(f.first_sent, pkt.sent_common);
-    f.last_sent = std::max(f.last_sent, pkt.sent_common);
-    if (const auto core_it = core_ts.find(rec.packet_id); core_it != core_ts.end()) {
-      const sim::TimePoint at = core_it->second;
-      ++s.arrived_at_core;
-      if (!s.seen_core) {
-        s.seen_core = true;
-        f.first_core = at;
-        f.last_core = at;
+    f.first_sent = std::min(f.first_sent, r.sent_at);
+    f.last_sent = std::max(f.last_sent, r.sent_at);
+    if (r.reached_core) {
+      if (s.arrived_at_core++ == 0) {
+        f.first_core = r.core_at;
+        f.last_core = r.core_at;
       } else {
-        f.first_core = std::min(f.first_core, at);
-        f.last_core = std::max(f.last_core, at);
+        f.first_core = std::min(f.first_core, r.core_at);
+        f.last_core = std::max(f.last_core, r.core_at);
       }
     }
   }
+  std::sort(frames.begin(), frames.end(), [](const FrameScratch& a, const FrameScratch& b) {
+    return a.record.frame_id < b.record.frame_id;
+  });
   out.frames.reserve(frames.size());
-  for (auto& [frame_id, s] : frames) {
+  for (FrameScratch& s : frames) {
     // Complete at the core once every packet of the frame arrived there.
     s.record.complete_at_core = s.expected > 0 && s.arrived_at_core >= s.expected;
     out.frames.push_back(s.record);
