@@ -264,16 +264,22 @@ TEST_F(CorrelatorSyntheticTest, GapWindowBoundariesCapConfidence) {
   }
   // One core arrival corroborates each spell but the idle one; the last
   // arrival, long after the last TB, makes a truncated tail.
-  std::vector<std::pair<sim::TimePoint, sim::TimePoint>> windows;
   net::PacketId core_id = 1'000'000;
+  const auto core_arrival = [&](sim::TimePoint t) {
+    net::CaptureRecord r;
+    r.packet_id = ++core_id;
+    r.local_ts = t;
+    input.core.push_back(r);
+  };
+  std::vector<std::pair<sim::TimePoint, sim::TimePoint>> windows;
   for (const auto& [a, b] : spells) {
     if (a == 240) continue;
     windows.emplace_back(at_slot(a), at_slot(b));
-    input.core.push_back({.packet_id = ++core_id, .local_ts = at_slot((a + b) / 2) + margin});
+    core_arrival(at_slot((a + b) / 2) + margin);
   }
   const sim::TimePoint tail_end = at_slot(last_slot + 20);
   windows.emplace_back(at_slot(last_slot), tail_end);
-  input.core.push_back({.packet_id = ++core_id, .local_ts = tail_end});
+  core_arrival(tail_end);
 
   // Packets 1 us before each window's capped range, at its first and last
   // capped microsecond, and at its (uncapped) end; the idle spell too.
@@ -439,10 +445,10 @@ TEST_F(CorrelatorEndToEndTest, DuplicateAndReorderedRecordsAreRepairedAndCounted
   Run(app::SessionConfig{});
   auto input = session_->BuildCorrelatorInput();
 
-  const auto streams = {fault::Stream::kTelemetry, fault::Stream::kSenderCapture,
-                        fault::Stream::kCoreCapture, fault::Stream::kReceiverCapture};
   fault::FaultPlan plan;
-  for (const fault::Stream stream : streams) {
+  for (const fault::Stream stream :
+       {fault::Stream::kTelemetry, fault::Stream::kSenderCapture, fault::Stream::kCoreCapture,
+        fault::Stream::kReceiverCapture}) {
     auto& spec = plan.For(stream);
     spec.duplicate = 0.2;
     spec.reorder = 0.25;
