@@ -112,7 +112,7 @@ class Session {
   [[nodiscard]] const net::CapturePoint& sfu_out_capture() const { return *cap_sfu_out_; }
   [[nodiscard]] const net::CapturePoint& receiver_capture() const { return *cap_receiver_; }
 
-  /// Assembles the Athena correlator's input from the session's logs,
+  /// Assembles the Athena correlator's input, a view of the session's logs,
   /// estimating clock offsets the way the measurement pipeline would
   /// (min-OWD filtering against the known wired floors).
   [[nodiscard]] core::CorrelatorInput BuildCorrelatorInput() const;

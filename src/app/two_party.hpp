@@ -65,7 +65,14 @@ class TwoPartySession {
   [[nodiscard]] ran::RanUplink& uplink() { return *uplink_; }
   [[nodiscard]] ran::RanDownlink& downlink() { return *downlink_; }
 
-  /// Correlator input for the A→B direction (across the 5G uplink).
+  // --- capture points (① ② ④ up, ⑥ ⑦ down) ---
+  [[nodiscard]] const net::CapturePoint& a_out_capture() const { return *cap_a_out_; }
+  [[nodiscard]] const net::CapturePoint& core_up_capture() const { return *cap_core_up_; }
+  [[nodiscard]] const net::CapturePoint& b_in_capture() const { return *cap_b_in_; }
+  [[nodiscard]] const net::CapturePoint& core_down_capture() const { return *cap_core_down_; }
+  [[nodiscard]] const net::CapturePoint& a_in_capture() const { return *cap_a_in_; }
+
+  /// Correlator input (a view) for the A→B direction (the 5G uplink).
   [[nodiscard]] core::CorrelatorInput BuildUplinkCorrelatorInput() const;
 
   /// Correlator input for the B→A direction (across the 5G downlink).

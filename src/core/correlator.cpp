@@ -91,7 +91,7 @@ void FinalizeState(StreamHealth& h) {
 /// duplicates (first/earliest record wins) and reordering (counted; the
 /// map is order-free anyway).
 std::unordered_map<net::PacketId, sim::TimePoint> JoinById(
-    const std::vector<net::CaptureRecord>& records, StreamHealth& health) {
+    std::span<const net::CaptureRecord> records, StreamHealth& health) {
   std::unordered_map<net::PacketId, sim::TimePoint> by_id;
   by_id.reserve(records.size());
   sim::TimePoint prev;
@@ -161,270 +161,274 @@ CrossLayerDataset Correlator::Correlate(const CorrelatorInput& input) {
     std::stable_sort(packets.begin(), packets.end(), send_order);
   }
 
-  // Telemetry: count order inversions, then sort and dedupe by tb_id (a
-  // tb_id names one transmission; seeing it twice is a feed duplicate,
-  // and the same bytes must not be drained twice).
-  std::vector<const ran::TbRecord*> telemetry;
-  telemetry.reserve(input.telemetry.size());
+  // ---- Steps 2–3 in one scope: the telemetry view, chains, drain and L3
+  // joins die with it, before the frame pass. ----
+  double confidence_sum = 0.0;
   {
-    sim::TimePoint prev;
-    bool have_prev = false;
-    for (const auto& tb : input.telemetry) {
-      if (have_prev && tb.slot_time < prev) ++health.telemetry.out_of_order;
-      prev = tb.slot_time;
-      have_prev = true;
-      telemetry.push_back(&tb);
+    // Telemetry: count order inversions, then sort and dedupe by tb_id (a
+    // tb_id names one transmission; seeing it twice is a feed duplicate,
+    // and the same bytes must not be drained twice).
+    std::vector<const ran::TbRecord*> telemetry;
+    telemetry.reserve(input.telemetry.size());
+    {
+      sim::TimePoint prev;
+      bool have_prev = false;
+      for (const auto& tb : input.telemetry) {
+        if (have_prev && tb.slot_time < prev) ++health.telemetry.out_of_order;
+        prev = tb.slot_time;
+        have_prev = true;
+        telemetry.push_back(&tb);
+      }
+      const auto slot_order = [](const ran::TbRecord* a, const ran::TbRecord* b) {
+        if (a->slot_time != b->slot_time) return a->slot_time < b->slot_time;
+        return a->tb_id < b->tb_id;
+      };
+      if (!std::is_sorted(telemetry.begin(), telemetry.end(), slot_order)) {
+        std::stable_sort(telemetry.begin(), telemetry.end(), slot_order);
+      }
+      // Ids that strictly increase along the sorted feed cannot repeat.
+      const auto id_not_increasing = [](const ran::TbRecord* a, const ran::TbRecord* b) {
+        return a->tb_id >= b->tb_id;
+      };
+      if (std::adjacent_find(telemetry.begin(), telemetry.end(), id_not_increasing) !=
+          telemetry.end()) {
+        std::unordered_set<ran::TbId> seen_tx;
+        seen_tx.reserve(telemetry.size());
+        std::size_t kept = 0;
+        for (const ran::TbRecord* tb : telemetry) {
+          if (seen_tx.insert(tb->tb_id).second) {
+            telemetry[kept++] = tb;
+          } else {
+            ++health.telemetry.duplicates_dropped;
+          }
+        }
+        telemetry.resize(kept);
+      }
+      health.telemetry.records = telemetry.size();
     }
-    const auto slot_order = [](const ran::TbRecord* a, const ran::TbRecord* b) {
-      if (a->slot_time != b->slot_time) return a->slot_time < b->slot_time;
-      return a->tb_id < b->tb_id;
-    };
-    if (!std::is_sorted(telemetry.begin(), telemetry.end(), slot_order)) {
-      std::stable_sort(telemetry.begin(), telemetry.end(), slot_order);
-    }
-    // Ids that strictly increase along the sorted feed cannot repeat.
-    const auto id_not_increasing = [](const ran::TbRecord* a, const ran::TbRecord* b) {
-      return a->tb_id >= b->tb_id;
-    };
-    if (std::adjacent_find(telemetry.begin(), telemetry.end(), id_not_increasing) !=
-        telemetry.end()) {
-      std::unordered_set<ran::TbId> seen_tx;
-      seen_tx.reserve(telemetry.size());
-      std::size_t kept = 0;
-      for (const ran::TbRecord* tb : telemetry) {
-        if (seen_tx.insert(tb->tb_id).second) {
-          telemetry[kept++] = tb;
-        } else {
-          ++health.telemetry.duplicates_dropped;
+
+    // ---- Step 2a: rebuild HARQ chains from the cleaned telemetry, in
+    // order of first appearance. ----
+    std::vector<TbChain> chains;
+    chains.reserve(telemetry.size());
+    {
+      std::unordered_map<ran::TbId, std::uint32_t> chain_index;
+      chain_index.reserve(telemetry.size());
+      for (const ran::TbRecord* tb_ptr : telemetry) {
+        const ran::TbRecord& tb = *tb_ptr;
+        const auto [it, inserted] =
+            chain_index.try_emplace(tb.chain_id, static_cast<std::uint32_t>(chains.size()));
+        TbChain& chain = inserted ? chains.emplace_back() : chains[it->second];
+        if (inserted) {
+          chain.chain_id = tb.chain_id;
+          chain.first_tx = tb.slot_time;
+          chain.used_bytes = tb.used_bytes;
+          chain.grant = tb.grant;
+        }
+        chain.first_tx = std::min(chain.first_tx, tb.slot_time);
+        chain.rounds = std::max(chain.rounds, tb.harq_round);
+        if (tb.crc_ok && (!chain.decoded || tb.slot_time < chain.decoded_at)) {
+          chain.decoded = true;
+          chain.decoded_at = tb.slot_time;
         }
       }
-      telemetry.resize(kept);
     }
-    health.telemetry.records = telemetry.size();
-  }
-
-  // ---- Step 2a: rebuild HARQ chains from the cleaned telemetry, in
-  // order of first appearance. ----
-  std::vector<TbChain> chains;
-  chains.reserve(telemetry.size());
-  {
-    std::unordered_map<ran::TbId, std::uint32_t> chain_index;
-    chain_index.reserve(telemetry.size());
-    for (const ran::TbRecord* tb_ptr : telemetry) {
-      const ran::TbRecord& tb = *tb_ptr;
-      const auto [it, inserted] =
-          chain_index.try_emplace(tb.chain_id, static_cast<std::uint32_t>(chains.size()));
-      TbChain& chain = inserted ? chains.emplace_back() : chains[it->second];
-      if (inserted) {
-        chain.chain_id = tb.chain_id;
-        chain.first_tx = tb.slot_time;
-        chain.used_bytes = tb.used_bytes;
-        chain.grant = tb.grant;
-      }
-      chain.first_tx = std::min(chain.first_tx, tb.slot_time);
-      chain.rounds = std::max(chain.rounds, tb.harq_round);
-      if (tb.crc_ok && (!chain.decoded || tb.slot_time < chain.decoded_at)) {
-        chain.decoded = true;
-        chain.decoded_at = tb.slot_time;
-      }
-    }
-  }
-  // The drain order is (first_tx, chain_id). First appearances in the
-  // slot-sorted feed already follow first_tx, so only chains that share a
-  // first slot can be out of order.
-  const auto drain_order = [](const TbChain& a, const TbChain& b) {
-    if (a.first_tx != b.first_tx) return a.first_tx < b.first_tx;
-    return a.chain_id < b.chain_id;
-  };
-  if (!std::is_sorted(chains.begin(), chains.end(), drain_order)) {
-    std::sort(chains.begin(), chains.end(), drain_order);
-  }
-
-  // ---- Step 2b: FIFO byte-conservation drain. The UE's RLC queue is
-  // FIFO, so the n-th TB byte carries the n-th queued packet byte; no
-  // eligibility heuristics needed, which also makes the matching immune
-  // to (bounded) clock-offset estimation error. The drain finishes one
-  // packet before it starts the next, so each packet's chains are one
-  // contiguous range of `drained`; a (chain, packet) pair meets once,
-  // because one of the two runs dry. ----
-  std::vector<std::uint32_t> drained;  // chain indices
-  drained.reserve(chains.size() + packets.size());
-  std::size_t pkt_idx = 0;
-  for (std::uint32_t c = 0; c < chains.size(); ++c) {
-    std::uint32_t avail = chains[c].used_bytes;
-    while (avail > 0 && pkt_idx < packets.size()) {
-      PendingPacket& pkt = packets[pkt_idx];
-      if (pkt.remaining == 0) {
-        ++pkt_idx;
-        continue;
-      }
-      const std::uint32_t take = std::min(avail, pkt.remaining);
-      pkt.remaining -= take;
-      avail -= take;
-      if (pkt.chain_count++ == 0) pkt.first_chain = static_cast<std::uint32_t>(drained.size());
-      drained.push_back(c);
-      if (pkt.remaining == 0) ++pkt_idx;
-    }
-    out.unmatched_tb_bytes += avail;
-  }
-  for (const auto& pkt : packets) out.unmatched_packet_bytes += pkt.remaining;
-
-  // ---- L3 joins: core and receiver captures by packet id (duplicate-
-  // and reorder-tolerant). ----
-  std::unordered_map<net::PacketId, sim::TimePoint> core_ts = JoinById(input.core, health.core);
-  std::unordered_map<net::PacketId, sim::TimePoint> recv_ts =
-      JoinById(input.receiver, health.receiver);
-
-  // ---- Telemetry gap scan: silent holes in the TB stream are only
-  // *evidence* of feed loss when traffic demonstrably crossed the RAN
-  // inside them (core arrivals imply serving TBs ~a processing delay
-  // earlier). Idle spells — no TBs because nothing was sent — are not
-  // gaps. Each confirmed gap window later discounts the match confidence
-  // of packets correlated across it. ----
-  std::vector<std::pair<sim::TimePoint, sim::TimePoint>> gap_windows;
-  sim::TimePoint last_tb_slot;
-  if (!telemetry.empty()) {
-    last_tb_slot = telemetry.back()->slot_time;
-    std::vector<sim::TimePoint> core_arrivals;
-    core_arrivals.reserve(core_ts.size());
-    for (const auto& [id, ts] : core_ts) core_arrivals.push_back(ts);
-    std::sort(core_arrivals.begin(), core_arrivals.end());
-
-    const sim::Duration slot = input.cell.ul_slot_period;
-    // Median TB spacing calibrates "silent" against the observed cadence.
-    sim::Duration median_spacing = slot;
-    if (telemetry.size() >= 8) {
-      std::vector<std::int64_t> deltas;
-      deltas.reserve(telemetry.size() - 1);
-      for (std::size_t i = 1; i < telemetry.size(); ++i) {
-        deltas.push_back((telemetry[i]->slot_time - telemetry[i - 1]->slot_time).count());
-      }
-      auto mid = deltas.begin() + static_cast<std::ptrdiff_t>(deltas.size() / 2);
-      std::nth_element(deltas.begin(), mid, deltas.end());
-      median_spacing = std::max(median_spacing, sim::Duration{*mid});
-    }
-    const sim::Duration threshold =
-        std::max(sim::Duration{4 * median_spacing.count()}, sim::Duration{4 * slot.count()});
-    // A TB at t surfaces at the core around t + margin.
-    const sim::Duration margin =
-        input.cell.ue_processing_delay + input.cell.gnb_to_core_delay + slot;
-
-    auto arrivals_inside = [&](sim::TimePoint lo, sim::TimePoint hi) {
-      const auto it = std::lower_bound(core_arrivals.begin(), core_arrivals.end(), lo);
-      return it != core_arrivals.end() && *it < hi;
+    // The drain order is (first_tx, chain_id). First appearances in the
+    // slot-sorted feed already follow first_tx, so only chains that share a
+    // first slot can be out of order.
+    const auto drain_order = [](const TbChain& a, const TbChain& b) {
+      if (a.first_tx != b.first_tx) return a.first_tx < b.first_tx;
+      return a.chain_id < b.chain_id;
     };
-    for (std::size_t i = 1; i < telemetry.size(); ++i) {
-      const sim::TimePoint a = telemetry[i - 1]->slot_time;
-      const sim::TimePoint b = telemetry[i]->slot_time;
-      if (b - a <= threshold) continue;
-      if (!arrivals_inside(a + margin + slot, b + margin - slot)) continue;
-      ++health.telemetry.gaps;
-      health.telemetry.longest_gap = std::max(health.telemetry.longest_gap, b - a);
-      gap_windows.emplace_back(a, b);
+    if (!std::is_sorted(chains.begin(), chains.end(), drain_order)) {
+      std::sort(chains.begin(), chains.end(), drain_order);
     }
-    // Tail truncation: the feed went dark before the traffic did.
-    if (!core_arrivals.empty() && core_arrivals.back() - margin > last_tb_slot + threshold) {
-      ++health.telemetry.gaps;
-      const sim::Duration tail = (core_arrivals.back() - margin) - last_tb_slot;
-      health.telemetry.longest_gap = std::max(health.telemetry.longest_gap, tail);
-      gap_windows.emplace_back(last_tb_slot, core_arrivals.back());
-    }
-  }
-  // A packet sent in [a - slot, b) of a window (a, b) is in the gap. Both
-  // ends of the windows are non-decreasing (consecutive TBs of the sorted
-  // feed, then the tail from the last TB) and packets are visited in send
-  // order, so the first window that ends after a packet's send time is the
-  // only one that can hold it, and one forward cursor finds it.
-  std::size_t gap_cursor = 0;
-  auto sent_in_gap = [&](sim::TimePoint sent) {
-    while (gap_cursor < gap_windows.size() && gap_windows[gap_cursor].second <= sent) {
-      ++gap_cursor;
-    }
-    return gap_cursor < gap_windows.size() &&
-           sent >= gap_windows[gap_cursor].first - input.cell.ul_slot_period;
-  };
 
-  // ---- Step 3: emit per-packet records with delay decomposition. ----
-  // A packet sent this long before the last observed TB *should* have
-  // been served while the telemetry feed was still alive; zero coverage
-  // there means the feed lost its TBs (vs. the end-of-run in-flight tail,
-  // which legitimately has none).
-  const sim::Duration serve_deadline =
-      input.cell.bsr_scheduling_delay + sim::Duration{4 * input.cell.ul_slot_period.count()};
-  double confidence_sum = 0.0;
-  out.packets.reserve(packets.size());
-  for (const auto& pkt : packets) {
-    const net::CaptureRecord& rec = *pkt.record;
-    CrossLayerRecord r;
-    r.packet_id = rec.packet_id;
-    r.kind = rec.kind;
-    r.size_bytes = rec.size_bytes;
-    if (rec.rtp) {
-      r.frame_id = rec.rtp->frame_id;
-      r.layer = rec.rtp->layer;
-    }
-    r.sent_at = pkt.sent_common;
-
-    if (pkt.chain_count > 0) {
-      const auto ids = std::span(drained).subspan(pkt.first_chain, pkt.chain_count);
-      const TbChain& first = chains[ids.front()];
-      sim::TimePoint delivered = first.first_tx;
-      sim::TimePoint last_first_tx = first.first_tx;
-      r.tb_chains.reserve(ids.size());
-      for (const std::uint32_t c : ids) {
-        const TbChain& chain = chains[c];
-        r.tb_chains.push_back(chain.chain_id);
-        r.max_harq_rounds = std::max(r.max_harq_rounds, chain.rounds);
-        last_first_tx = std::max(last_first_tx, chain.first_tx);
-        if (chain.decoded) delivered = std::max(delivered, chain.decoded_at);
+    // ---- Step 2b: FIFO byte-conservation drain. The UE's RLC queue is
+    // FIFO, so the n-th TB byte carries the n-th queued packet byte; no
+    // eligibility heuristics needed, which also makes the matching immune
+    // to (bounded) clock-offset estimation error. The drain finishes one
+    // packet before it starts the next, so each packet's chains are one
+    // contiguous range of `drained`; a (chain, packet) pair meets once,
+    // because one of the two runs dry. ----
+    std::vector<std::uint32_t> drained;  // chain indices
+    drained.reserve(chains.size() + packets.size());
+    std::size_t pkt_idx = 0;
+    for (std::uint32_t c = 0; c < chains.size(); ++c) {
+      std::uint32_t avail = chains[c].used_bytes;
+      while (avail > 0 && pkt_idx < packets.size()) {
+        PendingPacket& pkt = packets[pkt_idx];
+        if (pkt.remaining == 0) {
+          ++pkt_idx;
+          continue;
+        }
+        const std::uint32_t take = std::min(avail, pkt.remaining);
+        pkt.remaining -= take;
+        avail -= take;
+        if (pkt.chain_count++ == 0) pkt.first_chain = static_cast<std::uint32_t>(drained.size());
+        drained.push_back(c);
+        if (pkt.remaining == 0) ++pkt_idx;
       }
-      r.last_grant = chains[ids.back()].grant;
-      r.sched_wait = std::max(first.first_tx - pkt.sent_common, sim::Duration{0});
-      r.transmission_spread = last_first_tx - first.first_tx;
-      r.rtx_inflation = std::max(delivered - last_first_tx, sim::Duration{0});
+      out.unmatched_tb_bytes += avail;
     }
+    for (const auto& pkt : packets) out.unmatched_packet_bytes += pkt.remaining;
 
-    if (const auto it = core_ts.find(rec.packet_id); it != core_ts.end()) {
-      r.reached_core = true;
-      r.core_at = it->second;
-      r.uplink_owd = r.core_at - r.sent_at;
-    }
-    if (const auto it = recv_ts.find(rec.packet_id); it != recv_ts.end()) {
-      r.reached_receiver = true;
-      r.receiver_at = it->second + input.receiver_offset;
-      if (r.reached_core) r.wan_owd = r.receiver_at - r.core_at;
-    }
+    // ---- L3 joins: core and receiver captures by packet id (duplicate-
+    // and reorder-tolerant). ----
+    std::unordered_map<net::PacketId, sim::TimePoint> core_ts = JoinById(input.core, health.core);
+    std::unordered_map<net::PacketId, sim::TimePoint> recv_ts =
+        JoinById(input.receiver, health.receiver);
 
-    // Degradation contract: per-record confidence = TB byte coverage,
-    // discounted for packets correlated across a detected telemetry gap
-    // (the FIFO drain had to bridge the hole, so their chain attribution
-    // is a guess).
-    const std::uint32_t covered =
-        rec.size_bytes > pkt.remaining ? rec.size_bytes - pkt.remaining : 0;
-    r.match_confidence =
-        rec.size_bytes > 0 ? static_cast<double>(covered) / rec.size_bytes : 1.0;
-    if (sent_in_gap(pkt.sent_common)) {
-      r.match_confidence = std::min(r.match_confidence, 0.25);
-    }
-    confidence_sum += r.match_confidence;
-    if (!telemetry.empty() && covered == 0 &&
-        pkt.sent_common + serve_deadline <= last_tb_slot) {
-      ++health.uncovered_packets;
-    }
+    // ---- Telemetry gap scan: silent holes in the TB stream are only
+    // *evidence* of feed loss when traffic demonstrably crossed the RAN
+    // inside them (core arrivals imply serving TBs ~a processing delay
+    // earlier). Idle spells — no TBs because nothing was sent — are not
+    // gaps. Each confirmed gap window later discounts the match confidence
+    // of packets correlated across it. ----
+    std::vector<std::pair<sim::TimePoint, sim::TimePoint>> gap_windows;
+    sim::TimePoint last_tb_slot;
+    if (!telemetry.empty()) {
+      last_tb_slot = telemetry.back()->slot_time;
+      std::vector<sim::TimePoint> core_arrivals;
+      core_arrivals.reserve(core_ts.size());
+      for (const auto& [id, ts] : core_ts) core_arrivals.push_back(ts);
+      std::sort(core_arrivals.begin(), core_arrivals.end());
 
-    r.primary_cause = Classify(r, input.cell);
-    // The "why was this packet late" track: one span per media packet from
-    // UE send to core arrival, annotated with the delay decomposition.
-    if (obs::trace_enabled() && r.reached_core &&
-        (r.kind == net::PacketKind::kRtpVideo || r.kind == net::PacketKind::kRtpAudio)) {
-      obs::TraceAsyncSpan(obs::Layer::kCore, obs::names::kPktUplink, r.packet_id, r.sent_at,
-                          r.core_at,
-                          {{"wait_ms", sim::ToMs(r.sched_wait)},
-                           {"spread_ms", sim::ToMs(r.transmission_spread)},
-                           {"harq_ms", sim::ToMs(r.rtx_inflation)},
-                           {"cause", static_cast<double>(r.primary_cause)}});
+      const sim::Duration slot = input.cell.ul_slot_period;
+      // Median TB spacing calibrates "silent" against the observed cadence.
+      sim::Duration median_spacing = slot;
+      if (telemetry.size() >= 8) {
+        std::vector<std::int64_t> deltas;
+        deltas.reserve(telemetry.size() - 1);
+        for (std::size_t i = 1; i < telemetry.size(); ++i) {
+          deltas.push_back((telemetry[i]->slot_time - telemetry[i - 1]->slot_time).count());
+        }
+        auto mid = deltas.begin() + static_cast<std::ptrdiff_t>(deltas.size() / 2);
+        std::nth_element(deltas.begin(), mid, deltas.end());
+        median_spacing = std::max(median_spacing, sim::Duration{*mid});
+      }
+      const sim::Duration threshold =
+          std::max(sim::Duration{4 * median_spacing.count()}, sim::Duration{4 * slot.count()});
+      // A TB at t surfaces at the core around t + margin.
+      const sim::Duration margin =
+          input.cell.ue_processing_delay + input.cell.gnb_to_core_delay + slot;
+
+      auto arrivals_inside = [&](sim::TimePoint lo, sim::TimePoint hi) {
+        const auto it = std::lower_bound(core_arrivals.begin(), core_arrivals.end(), lo);
+        return it != core_arrivals.end() && *it < hi;
+      };
+      for (std::size_t i = 1; i < telemetry.size(); ++i) {
+        const sim::TimePoint a = telemetry[i - 1]->slot_time;
+        const sim::TimePoint b = telemetry[i]->slot_time;
+        if (b - a <= threshold) continue;
+        if (!arrivals_inside(a + margin + slot, b + margin - slot)) continue;
+        ++health.telemetry.gaps;
+        health.telemetry.longest_gap = std::max(health.telemetry.longest_gap, b - a);
+        gap_windows.emplace_back(a, b);
+      }
+      // Tail truncation: the feed went dark before the traffic did.
+      if (!core_arrivals.empty() && core_arrivals.back() - margin > last_tb_slot + threshold) {
+        ++health.telemetry.gaps;
+        const sim::Duration tail = (core_arrivals.back() - margin) - last_tb_slot;
+        health.telemetry.longest_gap = std::max(health.telemetry.longest_gap, tail);
+        gap_windows.emplace_back(last_tb_slot, core_arrivals.back());
+      }
     }
-    out.packets.push_back(std::move(r));
+    // A packet sent in [a - slot, b) of a window (a, b) is in the gap. Both
+    // ends of the windows are non-decreasing (consecutive TBs of the sorted
+    // feed, then the tail from the last TB) and packets are visited in send
+    // order, so the first window that ends after a packet's send time is the
+    // only one that can hold it, and one forward cursor finds it.
+    std::size_t gap_cursor = 0;
+    auto sent_in_gap = [&](sim::TimePoint sent) {
+      while (gap_cursor < gap_windows.size() && gap_windows[gap_cursor].second <= sent) {
+        ++gap_cursor;
+      }
+      return gap_cursor < gap_windows.size() &&
+             sent >= gap_windows[gap_cursor].first - input.cell.ul_slot_period;
+    };
+
+    // ---- Step 3: emit per-packet records with delay decomposition. ----
+    // A packet sent this long before the last observed TB *should* have
+    // been served while the telemetry feed was still alive; zero coverage
+    // there means the feed lost its TBs (vs. the end-of-run in-flight tail,
+    // which legitimately has none).
+    const sim::Duration serve_deadline =
+        input.cell.bsr_scheduling_delay + sim::Duration{4 * input.cell.ul_slot_period.count()};
+    out.packets.reserve(packets.size());
+    for (const auto& pkt : packets) {
+      const net::CaptureRecord& rec = *pkt.record;
+      CrossLayerRecord r;
+      r.packet_id = rec.packet_id;
+      r.kind = rec.kind;
+      r.size_bytes = rec.size_bytes;
+      if (rec.rtp) {
+        r.frame_id = rec.rtp->frame_id;
+        r.layer = rec.rtp->layer;
+      }
+      r.sent_at = pkt.sent_common;
+
+      if (pkt.chain_count > 0) {
+        const auto ids = std::span(drained).subspan(pkt.first_chain, pkt.chain_count);
+        const TbChain& first = chains[ids.front()];
+        sim::TimePoint delivered = first.first_tx;
+        sim::TimePoint last_first_tx = first.first_tx;
+        r.tb_chains.reserve(ids.size());
+        for (const std::uint32_t c : ids) {
+          const TbChain& chain = chains[c];
+          r.tb_chains.push_back(chain.chain_id);
+          r.max_harq_rounds = std::max(r.max_harq_rounds, chain.rounds);
+          last_first_tx = std::max(last_first_tx, chain.first_tx);
+          if (chain.decoded) delivered = std::max(delivered, chain.decoded_at);
+        }
+        r.last_grant = chains[ids.back()].grant;
+        r.sched_wait = std::max(first.first_tx - pkt.sent_common, sim::Duration{0});
+        r.transmission_spread = last_first_tx - first.first_tx;
+        r.rtx_inflation = std::max(delivered - last_first_tx, sim::Duration{0});
+      }
+
+      if (const auto it = core_ts.find(rec.packet_id); it != core_ts.end()) {
+        r.reached_core = true;
+        r.core_at = it->second;
+        r.uplink_owd = r.core_at - r.sent_at;
+      }
+      if (const auto it = recv_ts.find(rec.packet_id); it != recv_ts.end()) {
+        r.reached_receiver = true;
+        r.receiver_at = it->second + input.receiver_offset;
+        if (r.reached_core) r.wan_owd = r.receiver_at - r.core_at;
+      }
+
+      // Degradation contract: per-record confidence = TB byte coverage,
+      // discounted for packets correlated across a detected telemetry gap
+      // (the FIFO drain had to bridge the hole, so their chain attribution
+      // is a guess).
+      const std::uint32_t covered =
+          rec.size_bytes > pkt.remaining ? rec.size_bytes - pkt.remaining : 0;
+      r.match_confidence =
+          rec.size_bytes > 0 ? static_cast<double>(covered) / rec.size_bytes : 1.0;
+      if (sent_in_gap(pkt.sent_common)) {
+        r.match_confidence = std::min(r.match_confidence, 0.25);
+      }
+      confidence_sum += r.match_confidence;
+      if (!telemetry.empty() && covered == 0 &&
+          pkt.sent_common + serve_deadline <= last_tb_slot) {
+        ++health.uncovered_packets;
+      }
+
+      r.primary_cause = Classify(r, input.cell);
+      // The "why was this packet late" track: one span per media packet from
+      // UE send to core arrival, annotated with the delay decomposition.
+      if (obs::trace_enabled() && r.reached_core &&
+          (r.kind == net::PacketKind::kRtpVideo || r.kind == net::PacketKind::kRtpAudio)) {
+        obs::TraceAsyncSpan(obs::Layer::kCore, obs::names::kPktUplink, r.packet_id, r.sent_at,
+                            r.core_at,
+                            {{"wait_ms", sim::ToMs(r.sched_wait)},
+                             {"spread_ms", sim::ToMs(r.transmission_spread)},
+                             {"harq_ms", sim::ToMs(r.rtx_inflation)},
+                             {"cause", static_cast<double>(r.primary_cause)}});
+      }
+      out.packets.push_back(std::move(r));
+    }
   }
   obs::CountInc("core.packets_correlated", out.packets.size());
 

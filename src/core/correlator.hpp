@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/cross_layer.hpp"
@@ -27,14 +28,18 @@
 
 namespace athena::core {
 
+/// A non-owning view of the logs to correlate; the builders point it at the
+/// logs their session, call or world cell holds. It is valid until that
+/// owner runs again or is destroyed. Code that mutates or keeps logs
+/// copies them into a CorrelatorLogs.
 struct CorrelatorInput {
   /// Capture logs (local clocks). `sender` is required; others optional.
-  std::vector<net::CaptureRecord> sender;
-  std::vector<net::CaptureRecord> core;
-  std::vector<net::CaptureRecord> receiver;
+  std::span<const net::CaptureRecord> sender;
+  std::span<const net::CaptureRecord> core;
+  std::span<const net::CaptureRecord> receiver;
 
   /// PHY telemetry for the measured UE's uplink.
-  std::vector<ran::TbRecord> telemetry;
+  std::span<const ran::TbRecord> telemetry;
 
   /// Clock offsets relative to the common (core) clock: add these to a
   /// local timestamp to land on the common clock.
@@ -43,6 +48,29 @@ struct CorrelatorInput {
 
   /// Cell parameters (public configuration knowledge).
   ran::RanConfig cell;
+};
+
+/// An owned copy of a view, for fault injection, the overload governor and
+/// checkpoints. It converts to a view from an lvalue only.
+struct CorrelatorLogs {
+  std::vector<net::CaptureRecord> sender;
+  std::vector<net::CaptureRecord> core;
+  std::vector<net::CaptureRecord> receiver;
+  std::vector<ran::TbRecord> telemetry;
+  sim::Duration sender_offset{0};
+  sim::Duration receiver_offset{0};
+  ran::RanConfig cell;
+
+  CorrelatorLogs() = default;
+  explicit CorrelatorLogs(const CorrelatorInput& v)
+      : sender(v.sender.begin(), v.sender.end()), core(v.core.begin(), v.core.end()),
+        receiver(v.receiver.begin(), v.receiver.end()),
+        telemetry(v.telemetry.begin(), v.telemetry.end()), sender_offset(v.sender_offset),
+        receiver_offset(v.receiver_offset), cell(v.cell) {}
+  operator CorrelatorInput() const& {
+    return {sender, core, receiver, telemetry, sender_offset, receiver_offset, cell};
+  }
+  operator CorrelatorInput() const&& = delete;
 };
 
 /// Health of one input stream after cleaning. The correlator tolerates

@@ -442,8 +442,8 @@ ChaosOutcome RunChaosScenario(const ChaosScenario& scenario, std::uint64_t seed,
         simulator.Now() >= sim::kEpoch + scenario.duration && out.events_executed > 0;
     out.queues_bounded = simulator.queue_depth() <= kQueueDepthBound;
 
-    // Impair the recorded feeds exactly as a deployment would see them.
-    core::CorrelatorInput input = session.BuildCorrelatorInput();
+    // Impair a copy of the recorded feeds as a deployment would see them.
+    core::CorrelatorLogs input{session.BuildCorrelatorInput()};
     FaultInjector injector{scenario.plan, seed};
     injector.Apply(Stream::kTelemetry, input.telemetry);
     injector.Apply(Stream::kSenderCapture, input.sender);

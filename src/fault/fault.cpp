@@ -290,7 +290,7 @@ net::PacketHandler FaultInjector::Wrap(sim::Simulator& sim, net::PacketHandler n
 // InputDigest — FNV-1a over every field the correlator consumes.
 // ---------------------------------------------------------------------------
 
-void InputDigest::Mix(const std::vector<net::CaptureRecord>& records) {
+void InputDigest::Mix(std::span<const net::CaptureRecord> records) {
   Mix(records.size());
   for (const auto& r : records) {
     Mix(r.packet_id);

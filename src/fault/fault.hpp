@@ -15,6 +15,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "net/capture.hpp"
@@ -205,8 +206,8 @@ class FaultInjector {
 class InputDigest {
  public:
   void Mix(std::uint64_t v) { state_.Mix(v); }
-  void Mix(const std::vector<ran::TbRecord>& records) { state_.Mix(records); }
-  void Mix(const std::vector<net::CaptureRecord>& records);
+  void Mix(std::span<const ran::TbRecord> records) { state_.Mix(records); }
+  void Mix(std::span<const net::CaptureRecord> records);
 
   [[nodiscard]] std::uint64_t value() const { return state_.value(); }
 

@@ -233,7 +233,7 @@ void MultiUeUplink::TransmitNewTb(AttachedUe& ue, sim::TimePoint slot_time) {
     }
   }
 
-  if (truth_sink_) truth_sink_(ue.id, TbTruth{tb.chain_id, tb.segments});
+  if (truth_sink_) truth_sink_(TbTruth{tb.chain_id, tb.segments});
   Transmit(ue, std::move(tb), slot_time);
 }
 

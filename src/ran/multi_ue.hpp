@@ -110,7 +110,7 @@ class MultiUeUplink {
   /// the §5.3 PHY-informed controller).
   using TelemetryFn = std::function<void(std::uint32_t ue, const TbRecord& record)>;
   /// Ground truth of each new TB chain (tests only; see types.hpp).
-  using TruthFn = std::function<void(std::uint32_t ue, TbTruth truth)>;
+  using TruthFn = std::function<void(const TbTruth& truth)>;
 
   /// `cell_tag` namespaces TB/chain ids (bits 40+) so the telemetry
   /// streams of different cells never collide in a handed-over UE's

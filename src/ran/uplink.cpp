@@ -16,8 +16,6 @@ RanUplink::RanUplink(sim::Simulator& sim, RanConfig config, ChannelModel channel
       if (core_sink_) core_sink_(pkt);
     });
   });
-  cell_.set_truth_sink(
-      [this](std::uint32_t, TbTruth truth) { truth_.push_back(std::move(truth)); });
 }
 
 void RanUplink::set_telemetry_listener(std::function<void(const TbRecord&)> listener) {

@@ -6,7 +6,7 @@
 // machine: the measured UE is attached as UE 0 to a private cell whose
 // slot budget is shrunk by the competing cross traffic. This class adds
 // what only a single session needs — the gNB→core transfer to capture
-// point ②, the `ran.transit` span, and the ground-truth record of which
+// point ②, the `ran.transit` span, and a ground-truth stream of which
 // packet bytes rode which TB chain. `RanDownlink` (downlink_ran.hpp) is
 // the same kind of view on the DL grid, with a self-scheduling gNB in
 // place of the UE's grant policy.
@@ -60,8 +60,9 @@ class RanUplink {
   /// consumers such as the §5.3 PHY-informed controller).
   void set_telemetry_listener(std::function<void(const TbRecord&)> listener);
 
-  // --- ground truth (tests only; see types.hpp) ---
-  [[nodiscard]] const std::vector<TbTruth>& truth() const { return truth_; }
+  /// Streams the ground truth of each new TB chain (tests only; see
+  /// types.hpp). None is built while no sink is installed.
+  void set_truth_sink(MultiUeUplink::TruthFn sink) { cell_.set_truth_sink(std::move(sink)); }
 
   [[nodiscard]] const RanCounters& counters() const { return cell_.counters(); }
   [[nodiscard]] const RanConfig& config() const { return cell_.config(); }
@@ -82,7 +83,6 @@ class RanUplink {
   sim::Simulator& sim_;
   MultiUeUplink cell_;
   net::PacketHandler core_sink_;
-  std::vector<TbTruth> truth_;
 };
 
 }  // namespace athena::ran

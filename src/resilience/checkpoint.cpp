@@ -17,7 +17,7 @@ namespace athena::resilience {
 
 void StateDigest::Mix(std::string_view s) { fnv_.MixU64(s.size()).MixChars(s); }
 
-void StateDigest::Mix(const std::vector<ran::TbRecord>& records) {
+void StateDigest::Mix(std::span<const ran::TbRecord> records) {
   Mix(records.size());
   for (const auto& r : records) {
     Mix(r.tb_id);
@@ -31,7 +31,7 @@ void StateDigest::Mix(const std::vector<ran::TbRecord>& records) {
   }
 }
 
-void StateDigest::Mix(const std::vector<net::CaptureRecord>& records) {
+void StateDigest::Mix(std::span<const net::CaptureRecord> records) {
   Mix(records.size());
   for (const auto& r : records) {
     Mix(r.packet_id);
@@ -111,10 +111,13 @@ namespace {
 
 constexpr std::string_view kMagic{"ATHCKPT\n"};
 constexpr std::string_view kWhat{"checkpoint"};
+constexpr std::size_t kHeaderBytes = 8 + 4 + 4 + 12 * 8;  // magic..counts
 // Every record is at least this long on disk: a TB record always, a
 // capture record without its optional RTP/ICMP metadata.
 constexpr std::size_t kTbBytes = 8 + 8 + 8 + 1 + 4 + 4 + 1 + 1;
 constexpr std::size_t kMinCaptureBytes = 8 + 8 + 8 + 1 + 4 + 4 + 1 + 1;
+constexpr std::size_t kRtpBytes = 4 + 2 + 4 + 1 + 1 + 8 + 2 + 4 + 4;
+constexpr std::size_t kIcmpBytes = 4 + 8;
 
 void WriteTb(sim::ByteWriter& w, const ran::TbRecord& r) {
   w.U64(r.tb_id);
@@ -222,11 +225,13 @@ void Checkpoint::Serialize(std::vector<std::uint8_t>& out) const {
 }
 
 std::size_t Checkpoint::SerializedBytes() const {
-  // Header 112 B + trailer 8 B + per-record payload (capture records vary
-  // with their optional metadata; computed exactly by Serialize).
-  std::vector<std::uint8_t> buf;
-  Serialize(buf);
-  return buf.size();
+  std::size_t bytes = kHeaderBytes + input.telemetry.size() * kTbBytes + 8;
+  for (const auto* stream : {&input.sender, &input.core, &input.receiver}) {
+    for (const net::CaptureRecord& r : *stream) {
+      bytes += kMinCaptureBytes + (r.rtp ? kRtpBytes : 0) + (r.icmp ? kIcmpBytes : 0);
+    }
+  }
+  return bytes;
 }
 
 Checkpoint Checkpoint::Deserialize(const std::uint8_t* data, std::size_t size) {
@@ -286,7 +291,7 @@ Checkpoint SnapshotSession(const sim::Simulator& sim, const app::Session& sessio
   c.planned_duration = plan.duration;
   c.virtual_time = sim.Now();
   c.events_executed = sim.events_executed();
-  c.input = session.BuildCorrelatorInput();
+  c.input = core::CorrelatorLogs{session.BuildCorrelatorInput()};
   StateDigest digest;
   digest.Mix(c.input);
   c.state_digest = digest.value();
@@ -323,13 +328,13 @@ namespace {
 /// snapshot — turns a digest mismatch into an actionable diagnostic.
 std::string DescribeDivergence(const core::CorrelatorInput& replayed,
                                const core::CorrelatorInput& stored) {
-  auto first_tb_diff = [](const std::vector<ran::TbRecord>& a,
-                          const std::vector<ran::TbRecord>& b) -> std::ptrdiff_t {
+  auto first_tb_diff = [](std::span<const ran::TbRecord> a,
+                          std::span<const ran::TbRecord> b) -> std::ptrdiff_t {
     const std::size_t n = std::min(a.size(), b.size());
     for (std::size_t i = 0; i < n; ++i) {
       StateDigest da, db;
-      da.Mix(std::vector<ran::TbRecord>{a[i]});
-      db.Mix(std::vector<ran::TbRecord>{b[i]});
+      da.Mix(a.subspan(i, 1));
+      db.Mix(b.subspan(i, 1));
       if (da.value() != db.value()) return static_cast<std::ptrdiff_t>(i);
     }
     return a.size() != b.size() ? static_cast<std::ptrdiff_t>(n) : -1;
@@ -412,7 +417,12 @@ RunOutcome CheckpointingDriver::Drive(const Checkpoint* resume_from) {
 
   // --- final state: bound, correlate, report, digest ---
   core::CorrelatorInput input = session.BuildCorrelatorInput();
-  outcome.shed = BoundInput(input, plan_.budget);
+  core::CorrelatorLogs bounded;
+  if (plan_.budget.any()) {
+    bounded = core::CorrelatorLogs{input};
+    outcome.shed = BoundInput(bounded, plan_.budget);
+    input = bounded;
+  }
   const core::CrossLayerDataset data = core::Correlator::Correlate(input);
   outcome.packets_correlated = data.packets.size();
   outcome.events_executed = simulator.events_executed();

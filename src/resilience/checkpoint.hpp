@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -56,8 +57,8 @@ class StateDigest {
  public:
   void Mix(std::uint64_t v) { fnv_.MixU64(v); }
   void Mix(std::string_view s);
-  void Mix(const std::vector<ran::TbRecord>& records);
-  void Mix(const std::vector<net::CaptureRecord>& records);
+  void Mix(std::span<const ran::TbRecord> records);
+  void Mix(std::span<const net::CaptureRecord> records);
   void Mix(const core::CorrelatorInput& input);
   /// The radio knobs both config fingerprints cover, in one fixed order.
   void Mix(const ran::RanConfig& cell, const ran::ChannelModel::Config& channel);
@@ -88,7 +89,7 @@ struct Checkpoint {
 
   // --- observable state ---
   std::uint64_t state_digest = 0;       ///< StateDigest over `input`
-  core::CorrelatorInput input;          ///< streams collected so far
+  core::CorrelatorLogs input;           ///< streams collected so far (a copy)
 
   /// Serializes to the versioned binary format (magic + header + record
   /// payload + trailing FNV checksum).

@@ -48,7 +48,7 @@ std::uint64_t CapTail(std::vector<Record>& records, std::size_t keep) {
 
 }  // namespace
 
-ShedStats BoundInput(core::CorrelatorInput& input, const MemoryBudget& budget) {
+ShedStats BoundInput(core::CorrelatorLogs& input, const MemoryBudget& budget) {
   ShedStats stats;
   if (budget.input_bytes == 0) return stats;
 

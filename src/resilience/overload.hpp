@@ -62,14 +62,14 @@ struct ShedStats {
   void PublishMetrics() const;
 };
 
-/// Approximate resident bytes of a correlator input (records × record
-/// size; the governor's accounting unit).
+/// Approximate resident bytes of the logs a view reads (records × record
+/// size; the governor's accounting unit), though the view owns none.
 [[nodiscard]] std::size_t InputBytes(const core::CorrelatorInput& input);
 
-/// Enforces `budget.input_bytes` on `input` in the priority order above,
-/// in place. Record order within each stream is preserved. Returns the
-/// shed ledger (all zeros when the input already fits or the budget is
-/// unbounded).
-ShedStats BoundInput(core::CorrelatorInput& input, const MemoryBudget& budget);
+/// Enforces `budget.input_bytes` on an owned copy in the priority order
+/// above, in place. Record order within each stream is preserved. Returns
+/// the shed ledger (all zeros when the input already fits or the budget
+/// is unbounded).
+ShedStats BoundInput(core::CorrelatorLogs& input, const MemoryBudget& budget);
 
 }  // namespace athena::resilience

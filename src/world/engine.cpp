@@ -504,7 +504,7 @@ void WorldEngine::BuildFleet(WorldResult& result) {
   const std::size_t ues = sessions_.size();
   sim::ParallelRunner runner(config_.correlate_jobs == 0 ? 1 : config_.correlate_jobs);
   auto summaries = runner.Map<obs::fleet::SessionSummary>(ues, [&](std::size_t u) {
-    std::vector<ran::TbRecord> telemetry;
+    std::span<const ran::TbRecord> telemetry;
     for (const auto& cell : cells_) {
       if (const ran::UeRadioState* radio = cell->FindUe(static_cast<std::uint32_t>(u))) {
         telemetry = radio->telemetry;
@@ -512,7 +512,7 @@ void WorldEngine::BuildFleet(WorldResult& result) {
       }
     }
     const core::CorrelatorInput input =
-        sessions_[u]->BuildCorrelatorInput(std::move(telemetry), config_.cell);
+        sessions_[u]->BuildCorrelatorInput(telemetry, config_.cell);
     const core::CrossLayerDataset dataset = core::Correlator::Correlate(input);
     obs::fleet::SummaryInputs inputs;
     inputs.dataset = &dataset;

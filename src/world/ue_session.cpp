@@ -132,13 +132,13 @@ void UeSession::OnMessage(WorldMsg& msg) {
   }
 }
 
-core::CorrelatorInput UeSession::BuildCorrelatorInput(std::vector<ran::TbRecord> telemetry,
+core::CorrelatorInput UeSession::BuildCorrelatorInput(std::span<const ran::TbRecord> telemetry,
                                                       const ran::RanConfig& cell) const {
   core::CorrelatorInput input;
   input.sender = cap_sender_.records();
   input.core = cap_core_.records();
   input.receiver = cap_receiver_.records();
-  input.telemetry = std::move(telemetry);
+  input.telemetry = telemetry;
   // All session clocks are the common clock in the world (no drift
   // modeled); offsets stay zero.
   input.cell = cell;

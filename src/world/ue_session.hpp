@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "app/controller.hpp"
@@ -75,12 +76,12 @@ class UeSession final : public Entity {
   /// run ends (the engine books it stranded; its packets stay in_flight).
   void MarkStranded() { stranded_ = true; }
 
-  /// Builds the correlator input for this session: captures ①②④ plus
-  /// the UE's (cross-cell) telemetry stream. `cell` is adjusted for the
-  /// mailbox hops so the correlator's slot-eligibility replay matches
-  /// what the shared cell actually did.
+  /// Builds the correlator input for this session: a view of captures
+  /// ①②④ plus the UE's (cross-cell) telemetry stream, which must outlive
+  /// it. `cell` is adjusted for the mailbox hops so the correlator's
+  /// slot-eligibility replay matches what the shared cell actually did.
   [[nodiscard]] core::CorrelatorInput BuildCorrelatorInput(
-      std::vector<ran::TbRecord> telemetry, const ran::RanConfig& cell) const;
+      std::span<const ran::TbRecord> telemetry, const ran::RanConfig& cell) const;
 
   [[nodiscard]] const media::QoeCollector& qoe() const { return qoe_; }
   [[nodiscard]] EntityId serving_cell() const { return serving_cell_; }

@@ -378,6 +378,24 @@ TEST(SessionTest, ClockOffsetEstimationIsAccurate) {
   EXPECT_NEAR(sim::ToMs(input.receiver_offset), 1.7, 1.5);
 }
 
+// The correlator input is a view: it reads the capture points' and the
+// RAN's own logs, and copies no record.
+TEST(SessionTest, CorrelatorInputAliasesTheSessionLogs) {
+  sim::Simulator sim;
+  Session session{sim, SessionConfig{}};
+  session.Run(2s);
+  const core::CorrelatorInput input = session.BuildCorrelatorInput();
+  const auto expect_alias = [](auto view, const auto& log) {
+    EXPECT_FALSE(view.empty());
+    EXPECT_EQ(view.data(), log.data());
+    EXPECT_EQ(view.size(), log.size());
+  };
+  expect_alias(input.sender, session.sender_capture().records());
+  expect_alias(input.core, session.core_capture().records());
+  expect_alias(input.receiver, session.receiver_capture().records());
+  expect_alias(input.telemetry, session.ran_uplink()->telemetry());
+}
+
 TEST(SessionTest, DeterministicForFixedSeed) {
   auto run = [](std::uint64_t seed) {
     sim::Simulator sim;

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <chrono>
+#include <functional>
 
 #include <gtest/gtest.h>
 
@@ -114,7 +115,7 @@ class CorrelatorSyntheticTest : public ::testing::Test {
 };
 
 TEST_F(CorrelatorSyntheticTest, SinglePacketSingleTb) {
-  CorrelatorInput input;
+  CorrelatorLogs input;
   input.sender = {SenderRecord(1, kEpoch + 1ms, 1000)};
   input.core = {{.packet_id = 1, .local_ts = kEpoch + 3500us}};
   input.telemetry = {Tb(1, kEpoch + 2500us, 2500, 1000)};
@@ -132,7 +133,7 @@ TEST_F(CorrelatorSyntheticTest, SinglePacketSingleTb) {
 }
 
 TEST_F(CorrelatorSyntheticTest, PacketSpanningTwoTbs) {
-  CorrelatorInput input;
+  CorrelatorLogs input;
   input.sender = {SenderRecord(1, kEpoch + 1ms, 3000, 11)};
   input.core = {{.packet_id = 1, .local_ts = kEpoch + 6ms}};
   input.telemetry = {Tb(1, kEpoch + 2500us, 2500, 2500), Tb(2, kEpoch + 5000us, 2500, 500)};
@@ -144,7 +145,7 @@ TEST_F(CorrelatorSyntheticTest, PacketSpanningTwoTbs) {
 }
 
 TEST_F(CorrelatorSyntheticTest, RtxInflationMeasured) {
-  CorrelatorInput input;
+  CorrelatorLogs input;
   input.sender = {SenderRecord(1, kEpoch + 1ms, 1000)};
   input.core = {{.packet_id = 1, .local_ts = kEpoch + 13'500us}};
   // First transmission fails, retransmission at +10 ms succeeds.
@@ -160,7 +161,7 @@ TEST_F(CorrelatorSyntheticTest, RtxInflationMeasured) {
 }
 
 TEST_F(CorrelatorSyntheticTest, FifoAssignmentAcrossPackets) {
-  CorrelatorInput input;
+  CorrelatorLogs input;
   input.sender = {SenderRecord(1, kEpoch + 1ms, 1500, 1),
                   SenderRecord(2, kEpoch + 1ms, 1500, 1)};
   input.telemetry = {Tb(1, kEpoch + 2500us, 2500, 2500),  // pkt1 + 1000 of pkt2
@@ -172,7 +173,7 @@ TEST_F(CorrelatorSyntheticTest, FifoAssignmentAcrossPackets) {
 }
 
 TEST_F(CorrelatorSyntheticTest, ClockOffsetIsApplied) {
-  CorrelatorInput input;
+  CorrelatorLogs input;
   input.sender = {SenderRecord(1, kEpoch + 3ms, 1000)};  // sender clock +2 ms
   input.sender_offset = -2ms;
   input.core = {{.packet_id = 1, .local_ts = kEpoch + 3500us}};
@@ -183,7 +184,7 @@ TEST_F(CorrelatorSyntheticTest, ClockOffsetIsApplied) {
 }
 
 TEST_F(CorrelatorSyntheticTest, UnmatchedTbBytesWhenTelemetryExceedsCaptures) {
-  CorrelatorInput input;
+  CorrelatorLogs input;
   input.sender = {SenderRecord(1, kEpoch + 1ms, 500)};
   input.telemetry = {Tb(1, kEpoch + 2500us, 2500, 1500)};  // 1000 phantom bytes
   const auto data = Correlator::Correlate(input);
@@ -191,7 +192,7 @@ TEST_F(CorrelatorSyntheticTest, UnmatchedTbBytesWhenTelemetryExceedsCaptures) {
 }
 
 TEST_F(CorrelatorSyntheticTest, UnmatchedPacketBytesWhenTelemetryTruncated) {
-  CorrelatorInput input;
+  CorrelatorLogs input;
   input.sender = {SenderRecord(1, kEpoch + 1ms, 500)};
   const auto data = Correlator::Correlate(input);
   EXPECT_EQ(data.unmatched_packet_bytes, 500u);
@@ -199,7 +200,7 @@ TEST_F(CorrelatorSyntheticTest, UnmatchedPacketBytesWhenTelemetryTruncated) {
 }
 
 TEST_F(CorrelatorSyntheticTest, FrameAggregation) {
-  CorrelatorInput input;
+  CorrelatorLogs input;
   auto p1 = SenderRecord(1, kEpoch + 1ms, 1000, 5);
   auto p2 = SenderRecord(2, kEpoch + 1100us, 1000, 5);
   p1.rtp->packets_in_frame = 2;
@@ -221,7 +222,7 @@ TEST_F(CorrelatorSyntheticTest, FrameAggregation) {
 }
 
 TEST_F(CorrelatorSyntheticTest, IncompleteFrameFlagged) {
-  CorrelatorInput input;
+  CorrelatorLogs input;
   auto p1 = SenderRecord(1, kEpoch + 1ms, 1000, 5);
   p1.rtp->packets_in_frame = 2;
   input.sender = {p1};
@@ -233,7 +234,7 @@ TEST_F(CorrelatorSyntheticTest, IncompleteFrameFlagged) {
 }
 
 TEST_F(CorrelatorSyntheticTest, FindHelpers) {
-  CorrelatorInput input;
+  CorrelatorLogs input;
   input.sender = {SenderRecord(7, kEpoch + 1ms, 1000, 42)};
   input.telemetry = {Tb(1, kEpoch + 2500us, 2500, 1000)};
   const auto data = Correlator::Correlate(input);
@@ -247,7 +248,7 @@ TEST_F(CorrelatorSyntheticTest, FindHelpers) {
 // (a, b) has its match confidence capped at 0.25. Zero-byte packets need
 // no TB coverage, so every other record keeps confidence 1.0.
 TEST_F(CorrelatorSyntheticTest, GapWindowBoundariesCapConfidence) {
-  CorrelatorInput input;
+  CorrelatorLogs input;
   const sim::Duration slot = input.cell.ul_slot_period;
   const sim::Duration margin = input.cell.ue_processing_delay + input.cell.gnb_to_core_delay + slot;
   const auto at_slot = [&](int k) { return kEpoch + k * slot; };
@@ -321,8 +322,10 @@ TEST_F(CorrelatorSyntheticTest, RootCauseNames) {
 
 class CorrelatorEndToEndTest : public ::testing::Test {
  protected:
-  void Run(app::SessionConfig config, sim::Duration span = 10s) {
+  void Run(app::SessionConfig config, sim::Duration span = 10s,
+           const std::function<void(app::Session&)>& arm = {}) {
     session_ = std::make_unique<app::Session>(sim_, std::move(config));
+    if (arm) arm(*session_);
     session_->Run(span);
     dataset_ = Correlator::Correlate(session_->BuildCorrelatorInput());
   }
@@ -365,12 +368,13 @@ TEST_F(CorrelatorEndToEndTest, UplinkOwdMatchesGroundTruthWithin1ms) {
 TEST_F(CorrelatorEndToEndTest, TbMappingMatchesSimulatorTruth) {
   app::SessionConfig config;
   config.channel.base_bler = 0.1;
-  Run(config);
   // Build packet → chain-set from the simulator's ground truth.
   std::unordered_map<net::PacketId, std::vector<ran::TbId>> truth;
-  for (const auto& t : session_->ran_uplink()->truth()) {
-    for (const auto& seg : t.segments) truth[seg.packet_id].push_back(t.chain_id);
-  }
+  Run(config, 10s, [&truth](app::Session& session) {
+    session.ran_uplink()->set_truth_sink([&truth](const ran::TbTruth& t) {
+      for (const auto& seg : t.segments) truth[seg.packet_id].push_back(t.chain_id);
+    });
+  });
   std::size_t checked = 0;
   for (const auto& p : dataset_.packets) {
     if (p.tb_chains.empty()) continue;
@@ -443,7 +447,7 @@ void ExpectSameRecords(const CrossLayerDataset& got, const CrossLayerDataset& wa
 // not change the correlation result relative to the clean feeds.
 TEST_F(CorrelatorEndToEndTest, DuplicateAndReorderedRecordsAreRepairedAndCounted) {
   Run(app::SessionConfig{});
-  auto input = session_->BuildCorrelatorInput();
+  CorrelatorLogs input{session_->BuildCorrelatorInput()};
 
   fault::FaultPlan plan;
   for (const fault::Stream stream :

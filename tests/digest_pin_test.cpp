@@ -64,8 +64,9 @@ struct PinnedRun {
 };
 
 using Arm = std::function<void(sim::Simulator&, app::Session&)>;
-/// Rewrites the correlator input before it is digested and correlated.
-using Impair = std::function<void(core::CorrelatorInput&)>;
+/// Rewrites a copy of the correlator input before it is digested and
+/// correlated.
+using Impair = std::function<void(core::CorrelatorLogs&)>;
 
 /// Every field of the correlated dataset: each packet record (its chains
 /// and the bits of its match confidence included), each frame record, the
@@ -134,11 +135,25 @@ PinnedRun RunSession(const app::SessionConfig& config, sim::Duration span,
   sim::Simulator sim;
   app::Session session{sim, config};
   if (arm) arm(sim, session);
+  resilience::StateDigest truth_digest;
+  session.ran_uplink()->set_truth_sink([&truth_digest](const ran::TbTruth& chain) {
+    truth_digest.Mix(chain.chain_id);
+    for (const ran::SegmentTruth& seg : chain.segments) {
+      truth_digest.Mix(seg.packet_id);
+      truth_digest.Mix(seg.bytes);
+      truth_digest.Mix(seg.last_segment ? 1 : 0);
+    }
+  });
   session.Run(span);
 
   PinnedRun run;
   core::CorrelatorInput input = session.BuildCorrelatorInput();
-  if (impair) impair(input);
+  core::CorrelatorLogs impaired;
+  if (impair) {
+    impaired = core::CorrelatorLogs{input};
+    impair(impaired);
+    input = impaired;
+  }
   resilience::StateDigest input_digest;
   input_digest.Mix(input);
   run.pin.input = input_digest.value();
@@ -158,15 +173,6 @@ PinnedRun RunSession(const app::SessionConfig& config, sim::Duration span,
   run.pin.report = report_digest.value();
   run.pin.dataset = DatasetDigest(data);
 
-  resilience::StateDigest truth_digest;
-  for (const ran::TbTruth& chain : uplink.truth()) {
-    truth_digest.Mix(chain.chain_id);
-    for (const ran::SegmentTruth& seg : chain.segments) {
-      truth_digest.Mix(seg.packet_id);
-      truth_digest.Mix(seg.bytes);
-      truth_digest.Mix(seg.last_segment ? 1 : 0);
-    }
-  }
   run.pin.truth = truth_digest.value();
   run.pin.events = sim.events_executed();
   run.counters = uplink.counters();
@@ -306,7 +312,7 @@ TEST(DigestPinTest, TunablePolicySwitchedMidRun) {
 /// non-monotone bijection, every 16th new chain moved onto its
 /// predecessor's slot (so chains share a first slot and must be ordered
 /// by id), then all four feeds dropped, duplicated, reordered and delayed.
-void ImpairAllFeeds(core::CorrelatorInput& input) {
+void ImpairAllFeeds(core::CorrelatorLogs& input) {
   for (std::size_t i = 0; i < input.telemetry.size(); ++i) {
     ran::TbRecord& tb = input.telemetry[i];
     tb.chain_id *= 0x9e3779b97f4a7c15ULL;  // odd factor: a bijection mod 2^64

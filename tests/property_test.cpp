@@ -137,15 +137,15 @@ TEST_P(CorrelatorExactnessProperty, MappingMatchesTruthAndConservesBytes) {
   config.seed = seed;
   config.channel.base_bler = bler;
   app::Session session{sim, config};
+  std::unordered_map<net::PacketId, std::vector<ran::TbId>> truth;
+  session.ran_uplink()->set_truth_sink([&truth](const ran::TbTruth& t) {
+    for (const auto& seg : t.segments) truth[seg.packet_id].push_back(t.chain_id);
+  });
   session.Run(8s);
 
   const auto data = core::Correlator::Correlate(session.BuildCorrelatorInput());
   EXPECT_EQ(data.unmatched_tb_bytes, 0u);
 
-  std::unordered_map<net::PacketId, std::vector<ran::TbId>> truth;
-  for (const auto& t : session.ran_uplink()->truth()) {
-    for (const auto& seg : t.segments) truth[seg.packet_id].push_back(t.chain_id);
-  }
   for (const auto& p : data.packets) {
     if (p.tb_chains.empty()) continue;
     ASSERT_TRUE(truth.count(p.packet_id));

@@ -125,6 +125,35 @@ class CheckpointSerializationTest : public ::testing::Test {
     (void)CheckpointingDriver{plan}.Run();
     ASSERT_GT(latest_.events_executed, 0u);
     ASSERT_FALSE(latest_.input.telemetry.empty());
+    // SerializedBytes counts each record shape: TBs, and captures that are
+    // plain or carry RTP or ICMP metadata. A session's three logs hold
+    // only RTP captures, so a plain record and an ICMP probe are added
+    // (with the digest that covers them).
+    net::CaptureRecord plain_record;
+    plain_record.packet_id = 1ull << 40;
+    plain_record.local_ts = latest_.virtual_time;
+    plain_record.kind = net::PacketKind::kCrossTraffic;
+    net::CaptureRecord probe = plain_record;
+    probe.packet_id += 1;
+    probe.kind = net::PacketKind::kIcmpEcho;
+    probe.icmp = net::IcmpMeta{.probe_seq = 7, .echo_sent_at = probe.local_ts};
+    latest_.input.core.push_back(plain_record);
+    latest_.input.receiver.push_back(probe);
+    resilience::StateDigest digest;
+    digest.Mix(latest_.input);
+    latest_.state_digest = digest.value();
+    std::size_t plain = 0, rtp = 0, icmp = 0;
+    for (const auto* stream :
+         {&latest_.input.sender, &latest_.input.core, &latest_.input.receiver}) {
+      for (const net::CaptureRecord& r : *stream) {
+        plain += !r.rtp && !r.icmp ? 1 : 0;
+        rtp += r.rtp ? 1 : 0;
+        icmp += r.icmp ? 1 : 0;
+      }
+    }
+    ASSERT_GT(plain, 0u);
+    ASSERT_GT(rtp, 0u);
+    ASSERT_GT(icmp, 0u);
     latest_.Serialize(bytes_);
     ASSERT_EQ(bytes_.size(), latest_.SerializedBytes());
   }
@@ -282,8 +311,8 @@ TEST(ParallelRunnerTest, PoisonedRunIsAFailedRunNotAProcessKill) {
 
 // --- overload governor ---
 
-core::CorrelatorInput MakeOverloadInput() {
-  core::CorrelatorInput input;
+core::CorrelatorLogs MakeOverloadInput() {
+  core::CorrelatorLogs input;
   for (std::size_t i = 0; i < 150; ++i) {
     ran::TbRecord tb;
     tb.tb_id = i + 1;
@@ -309,7 +338,7 @@ core::CorrelatorInput MakeOverloadInput() {
 }
 
 TEST(OverloadGovernorTest, UnboundedBudgetShedsNothing) {
-  core::CorrelatorInput input = MakeOverloadInput();
+  core::CorrelatorLogs input = MakeOverloadInput();
   const std::size_t before = resilience::InputBytes(input);
   const resilience::ShedStats stats = BoundInput(input, MemoryBudget{});
   EXPECT_EQ(stats.total(), 0u);
@@ -317,7 +346,7 @@ TEST(OverloadGovernorTest, UnboundedBudgetShedsNothing) {
 }
 
 TEST(OverloadGovernorTest, ShedsIcmpBeforeTouchingData) {
-  core::CorrelatorInput input = MakeOverloadInput();
+  core::CorrelatorLogs input = MakeOverloadInput();
   const std::size_t icmp_bytes = 50 * sizeof(net::CaptureRecord);
   MemoryBudget budget;
   budget.input_bytes = resilience::InputBytes(input) - icmp_bytes / 2;
@@ -331,7 +360,7 @@ TEST(OverloadGovernorTest, ShedsIcmpBeforeTouchingData) {
 }
 
 TEST(OverloadGovernorTest, HardCapEngagesLastAndFitsTheBudget) {
-  core::CorrelatorInput input = MakeOverloadInput();
+  core::CorrelatorLogs input = MakeOverloadInput();
   MemoryBudget budget;
   budget.input_bytes = 12'000;  // below what tiers 2-3 can free
   const resilience::ShedStats stats = BoundInput(input, budget);

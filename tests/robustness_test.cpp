@@ -62,7 +62,7 @@ TEST(RobustnessTest, TruncatedTelemetryIsReportedNotFatal) {
   config.seed = 33;
   app::Session session{sim, config};
   session.Run(5s);
-  auto input = session.BuildCorrelatorInput();
+  core::CorrelatorLogs input{session.BuildCorrelatorInput()};
   // The sniffer dies halfway through the run.
   fault::FaultPlan plan;
   plan.For(fault::Stream::kTelemetry).truncate_after_fraction = 0.5;
@@ -82,7 +82,7 @@ TEST(RobustnessTest, BurstOutageMidCallIsFlagged) {
   config.seed = 40;
   app::Session session{sim, config};
   session.Run(5s);
-  auto input = session.BuildCorrelatorInput();
+  core::CorrelatorLogs input{session.BuildCorrelatorInput()};
   fault::FaultPlan plan;
   plan.For(fault::Stream::kTelemetry).outage_begin = kEpoch + 2s;
   plan.For(fault::Stream::kTelemetry).outage_end = kEpoch + 2400ms;
@@ -106,7 +106,7 @@ TEST(RobustnessTest, TelemetryTruncationAtRunEndIsFlagged) {
   config.seed = 41;
   app::Session session{sim, config};
   session.Run(5s);
-  auto input = session.BuildCorrelatorInput();
+  core::CorrelatorLogs input{session.BuildCorrelatorInput()};
   fault::FaultPlan plan;
   plan.For(fault::Stream::kTelemetry).truncate_after_fraction = 0.4;
   fault::FaultInjector injector{plan, config.seed};
@@ -130,7 +130,7 @@ TEST(RobustnessTest, ClockStepDuringActiveHarqRoundsIsSurvivable) {
   config.channel = ran::ChannelModel::FadingRadio();
   app::Session session{sim, config};
   session.Run(5s);
-  auto input = session.BuildCorrelatorInput();
+  core::CorrelatorLogs input{session.BuildCorrelatorInput()};
   fault::FaultPlan plan;
   plan.For(fault::Stream::kTelemetry).clock_step = -40ms;
   plan.For(fault::Stream::kTelemetry).clock_step_at = kEpoch + 2500ms;

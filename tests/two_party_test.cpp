@@ -173,6 +173,26 @@ TEST_F(TwoPartyTest, BothDirectionsDeliverVideo) {
   EXPECT_GT(session_->sender_b().feedback_received(), 100u);
 }
 
+// Both directions' correlator inputs are views of the call's own logs.
+TEST_F(TwoPartyTest, CorrelatorInputsAliasTheCallLogs) {
+  Run(TwoPartyConfig{}, 2s);
+  const core::CorrelatorInput up = session_->BuildUplinkCorrelatorInput();
+  const core::CorrelatorInput down = session_->BuildDownlinkCorrelatorInput();
+  const auto expect_alias = [](auto view, const auto& log) {
+    EXPECT_FALSE(view.empty());
+    EXPECT_EQ(view.data(), log.data());
+    EXPECT_EQ(view.size(), log.size());
+  };
+  expect_alias(up.sender, session_->a_out_capture().records());
+  expect_alias(up.core, session_->core_up_capture().records());
+  expect_alias(up.receiver, session_->b_in_capture().records());
+  expect_alias(up.telemetry, session_->uplink().telemetry());
+  expect_alias(down.sender, session_->core_down_capture().records());
+  expect_alias(down.core, session_->a_in_capture().records());
+  expect_alias(down.telemetry, session_->downlink().telemetry());
+  EXPECT_TRUE(down.receiver.empty());
+}
+
 TEST_F(TwoPartyTest, UplinkJittersDownlinkDoesNot) {
   // The paper's takeaway (c), demonstrated with full machinery on both
   // paths: same cell, same radio, same HARQ — the *grant cycle* is what

@@ -3,12 +3,14 @@
 // contention backpressure, and outage degradation.
 #include <chrono>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "fault/world_chaos.hpp"
 #include "sim/check.hpp"
 #include "world/engine.hpp"
+#include "world/ue_session.hpp"
 
 namespace athena::world {
 namespace {
@@ -61,7 +63,11 @@ TEST(WorldEngineTest, SameSeedRunsAreByteIdentical) {
 }
 
 TEST(WorldEngineTest, ThreadedMatchesSequential) {
-  const WorldResult threaded = RunWorld(SmallWorld(), 4, /*threaded=*/true);
+  // The threaded world also correlates on two workers, which read the
+  // cells' telemetry logs concurrently.
+  WorldConfig parallel = SmallWorld();
+  parallel.correlate_jobs = 2;
+  const WorldResult threaded = RunWorld(parallel, 4, /*threaded=*/true);
   const WorldResult sequential = RunWorld(SmallWorld(), 4, /*threaded=*/false);
   EXPECT_EQ(threaded.digest, sequential.digest);
   EXPECT_EQ(threaded.fleet_json, sequential.fleet_json);
@@ -141,6 +147,18 @@ TEST(WorldEngineTest, FleetReportCoversThePopulation) {
   EXPECT_GT(result.busy_seconds, 0.0);
   EXPECT_GT(result.critical_path_seconds, 0.0);
   EXPECT_LE(result.critical_path_seconds, result.busy_seconds + 1e-9);
+}
+
+// A UE's correlator input reads the telemetry span it is given (the
+// serving cell's log in the fan-out) instead of copying it.
+TEST(UeSessionTest, CorrelatorInputReadsTheGivenTelemetry) {
+  sim::Simulator sim;
+  UeSession session{sim, UeSession::Config{}, [](WorldMsg&&) {}};
+  const std::vector<ran::TbRecord> telemetry(3);
+  const core::CorrelatorInput input =
+      session.BuildCorrelatorInput(telemetry, ran::RanConfig::PaperCell());
+  EXPECT_EQ(input.telemetry.data(), telemetry.data());
+  EXPECT_EQ(input.telemetry.size(), telemetry.size());
 }
 
 TEST(WorldValidationTest, RejectsUnbuildableWorlds) {
