@@ -112,12 +112,7 @@ namespace {
 constexpr std::string_view kMagic{"ATHCKPT\n"};
 constexpr std::string_view kWhat{"checkpoint"};
 constexpr std::size_t kHeaderBytes = 8 + 4 + 4 + 12 * 8;  // magic..counts
-// Every record is at least this long on disk: a TB record always, a
-// capture record without its optional RTP/ICMP metadata.
-constexpr std::size_t kTbBytes = 8 + 8 + 8 + 1 + 4 + 4 + 1 + 1;
-constexpr std::size_t kMinCaptureBytes = 8 + 8 + 8 + 1 + 4 + 4 + 1 + 1;
-constexpr std::size_t kRtpBytes = 4 + 2 + 4 + 1 + 1 + 8 + 2 + 4 + 4;
-constexpr std::size_t kIcmpBytes = 4 + 8;
+constexpr std::size_t kTbBytes = 8 + 8 + 8 + 1 + 4 + 4 + 1 + 1;  // what WriteTb writes
 
 void WriteTb(sim::ByteWriter& w, const ran::TbRecord& r) {
   w.U64(r.tb_id);
@@ -142,6 +137,11 @@ ran::TbRecord ReadTb(sim::ByteReader<CheckpointError>& r) {
   tb.crc_ok = r.U8() != 0;
   return tb;
 }
+
+// WriteCapture's bytes: a record without its optional metadata, plus each block it carries.
+constexpr std::size_t kMinCaptureBytes = 8 + 8 + 8 + 1 + 4 + 4 + 1 + 1;
+constexpr std::size_t kRtpBytes = 4 + 2 + 4 + 1 + 1 + 8 + 2 + 4 + 4;
+constexpr std::size_t kIcmpBytes = 4 + 8;
 
 void WriteCapture(sim::ByteWriter& w, const net::CaptureRecord& r) {
   w.U64(r.packet_id);

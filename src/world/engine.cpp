@@ -511,9 +511,8 @@ void WorldEngine::BuildFleet(WorldResult& result) {
         break;
       }
     }
-    const core::CorrelatorInput input =
-        sessions_[u]->BuildCorrelatorInput(telemetry, config_.cell);
-    const core::CrossLayerDataset dataset = core::Correlator::Correlate(input);
+    const core::CrossLayerDataset dataset =
+        core::Correlator::Correlate(sessions_[u]->BuildCorrelatorInput(telemetry, config_.cell));
     obs::fleet::SummaryInputs inputs;
     inputs.dataset = &dataset;
     inputs.qoe = &sessions_[u]->qoe();

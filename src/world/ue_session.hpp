@@ -82,6 +82,8 @@ class UeSession final : public Entity {
   /// slot-eligibility replay matches what the shared cell actually did.
   [[nodiscard]] core::CorrelatorInput BuildCorrelatorInput(
       std::span<const ran::TbRecord> telemetry, const ran::RanConfig& cell) const;
+  core::CorrelatorInput BuildCorrelatorInput(std::vector<ran::TbRecord>&&,
+                                             const ran::RanConfig&) const = delete;
 
   [[nodiscard]] const media::QoeCollector& qoe() const { return qoe_; }
   [[nodiscard]] EntityId serving_cell() const { return serving_cell_; }

@@ -127,8 +127,9 @@ class CheckpointSerializationTest : public ::testing::Test {
     ASSERT_FALSE(latest_.input.telemetry.empty());
     // SerializedBytes counts each record shape: TBs, and captures that are
     // plain or carry RTP or ICMP metadata. A session's three logs hold
-    // only RTP captures, so a plain record and an ICMP probe are added
-    // (with the digest that covers them).
+    // only RTP captures, so the serialized copy gets a plain record and an
+    // ICMP probe (with the digest that covers them); `latest_` stays as
+    // the driver took it, a checkpoint its session can replay.
     net::CaptureRecord plain_record;
     plain_record.packet_id = 1ull << 40;
     plain_record.local_ts = latest_.virtual_time;
@@ -137,14 +138,15 @@ class CheckpointSerializationTest : public ::testing::Test {
     probe.packet_id += 1;
     probe.kind = net::PacketKind::kIcmpEcho;
     probe.icmp = net::IcmpMeta{.probe_seq = 7, .echo_sent_at = probe.local_ts};
-    latest_.input.core.push_back(plain_record);
-    latest_.input.receiver.push_back(probe);
+    stored_ = latest_;
+    stored_.input.core.push_back(plain_record);
+    stored_.input.receiver.push_back(probe);
     resilience::StateDigest digest;
-    digest.Mix(latest_.input);
-    latest_.state_digest = digest.value();
+    digest.Mix(stored_.input);
+    stored_.state_digest = digest.value();
     std::size_t plain = 0, rtp = 0, icmp = 0;
     for (const auto* stream :
-         {&latest_.input.sender, &latest_.input.core, &latest_.input.receiver}) {
+         {&stored_.input.sender, &stored_.input.core, &stored_.input.receiver}) {
       for (const net::CaptureRecord& r : *stream) {
         plain += !r.rtp && !r.icmp ? 1 : 0;
         rtp += r.rtp ? 1 : 0;
@@ -154,28 +156,29 @@ class CheckpointSerializationTest : public ::testing::Test {
     ASSERT_GT(plain, 0u);
     ASSERT_GT(rtp, 0u);
     ASSERT_GT(icmp, 0u);
-    latest_.Serialize(bytes_);
-    ASSERT_EQ(bytes_.size(), latest_.SerializedBytes());
+    stored_.Serialize(bytes_);
+    ASSERT_EQ(bytes_.size(), stored_.SerializedBytes());
   }
 
-  Checkpoint latest_;
-  std::vector<std::uint8_t> bytes_;
+  Checkpoint latest_;                ///< the run's last checkpoint, untouched
+  Checkpoint stored_;                ///< latest_ plus a plain and an ICMP capture
+  std::vector<std::uint8_t> bytes_;  ///< stored_, serialized
 };
 
 TEST_F(CheckpointSerializationTest, RoundTripsEveryField) {
   const Checkpoint back = Checkpoint::Deserialize(bytes_.data(), bytes_.size());
-  EXPECT_EQ(back.config_fingerprint, latest_.config_fingerprint);
-  EXPECT_EQ(back.seed, latest_.seed);
-  EXPECT_EQ(back.planned_duration, latest_.planned_duration);
-  EXPECT_EQ(back.virtual_time, latest_.virtual_time);
-  EXPECT_EQ(back.events_executed, latest_.events_executed);
-  EXPECT_EQ(back.state_digest, latest_.state_digest);
-  EXPECT_EQ(back.input.telemetry.size(), latest_.input.telemetry.size());
-  EXPECT_EQ(back.input.sender.size(), latest_.input.sender.size());
-  EXPECT_EQ(back.input.core.size(), latest_.input.core.size());
-  EXPECT_EQ(back.input.receiver.size(), latest_.input.receiver.size());
-  EXPECT_EQ(back.input.sender_offset, latest_.input.sender_offset);
-  EXPECT_EQ(back.input.receiver_offset, latest_.input.receiver_offset);
+  EXPECT_EQ(back.config_fingerprint, stored_.config_fingerprint);
+  EXPECT_EQ(back.seed, stored_.seed);
+  EXPECT_EQ(back.planned_duration, stored_.planned_duration);
+  EXPECT_EQ(back.virtual_time, stored_.virtual_time);
+  EXPECT_EQ(back.events_executed, stored_.events_executed);
+  EXPECT_EQ(back.state_digest, stored_.state_digest);
+  EXPECT_EQ(back.input.telemetry.size(), stored_.input.telemetry.size());
+  EXPECT_EQ(back.input.sender.size(), stored_.input.sender.size());
+  EXPECT_EQ(back.input.core.size(), stored_.input.core.size());
+  EXPECT_EQ(back.input.receiver.size(), stored_.input.receiver.size());
+  EXPECT_EQ(back.input.sender_offset, stored_.input.sender_offset);
+  EXPECT_EQ(back.input.receiver_offset, stored_.input.receiver_offset);
 
   resilience::StateDigest digest;
   digest.Mix(back.input);
@@ -221,6 +224,10 @@ TEST_F(CheckpointSerializationTest, RejectsTrailingGarbage) {
 }
 
 TEST_F(CheckpointSerializationTest, RefusesToResumeUnderADifferentPlan) {
+  // Under its own plan the checkpoint resumes, so each refusal below is
+  // the plan check's doing, not a replay that fails to match.
+  EXPECT_NO_THROW((void)CheckpointingDriver{ShortPlan(5)}.Resume(latest_));
+
   // Same bytes, different seed: the replay would silently diverge, so
   // Resume must refuse up front.
   CheckpointingDriver other{ShortPlan(6)};
