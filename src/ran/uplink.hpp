@@ -60,7 +60,7 @@ class RanUplink {
   /// consumers such as the §5.3 PHY-informed controller).
   void set_telemetry_listener(std::function<void(const TbRecord&)> listener);
 
-  /// Streams each new TB chain's ground truth (tests only; see types.hpp).
+  /// Streams each new TB chain's TbTruth (tests only); none is built without a sink.
   void set_truth_sink(MultiUeUplink::TruthFn sink) { cell_.set_truth_sink(std::move(sink)); }
 
   [[nodiscard]] const RanCounters& counters() const { return cell_.counters(); }
