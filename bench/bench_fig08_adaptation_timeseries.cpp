@@ -38,18 +38,20 @@ int main() {
   config.cross_burstiness = 0.0;
 
   app::Session session{sim, config};
-  session.Run(900s);
 
-  // --- panel 1: receive bitrate per SVC layer (from the receiver pcap) ---
+  // --- panel 1: receive bitrate per SVC layer (the receiver pcap's
+  // records at their true capture times) ---
   std::map<net::SvcLayer, stats::TimeSeries> by_layer;
   stats::TimeSeries audio_bytes;
-  for (const auto& rec : session.receiver_capture().records()) {
-    if (rec.kind == net::PacketKind::kRtpAudio) {
-      audio_bytes.Add(rec.true_ts, rec.size_bytes);
-    } else if (rec.kind == net::PacketKind::kRtpVideo && rec.rtp) {
-      by_layer[rec.rtp->layer].Add(rec.true_ts, rec.size_bytes);
-    }
-  }
+  session.receiver_capture().set_truth_sink(
+      [&](const net::CaptureRecord& rec, sim::TimePoint true_ts) {
+        if (rec.kind == net::PacketKind::kRtpAudio) {
+          audio_bytes.Add(true_ts, rec.size_bytes);
+        } else if (rec.kind == net::PacketKind::kRtpVideo && rec.rtp()) {
+          by_layer[rec.rtp()->layer].Add(true_ts, rec.size_bytes);
+        }
+      });
+  session.Run(900s);
   auto kbps = [](const stats::TimeSeries& ts, sim::TimePoint at) {
     for (const auto& w : ts.WindowedRatePerSecond(std::chrono::seconds{10})) {
       if (w.window_start <= at && at < w.window_start + std::chrono::seconds{10}) {

@@ -205,8 +205,8 @@ void Session::Run(sim::Duration span) {
 
 core::WifiCorrelatorInput Session::BuildWifiCorrelatorInput() const {
   core::WifiCorrelatorInput input;
-  input.sender = cap_sender_->records();
-  input.egress = cap_core_->records();
+  input.sender = cap_sender_->records().ToVector();
+  input.egress = cap_core_->records().ToVector();
   if (wifi_uplink_) input.telemetry = wifi_uplink_->telemetry();
   const auto pairs =
       core::ClockSync::JoinCaptures(cap_sender_->records(), cap_core_->records());

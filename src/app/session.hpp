@@ -105,12 +105,17 @@ class Session {
   [[nodiscard]] net::IcmpProber* icmp_prober() { return icmp_prober_.get(); }
   [[nodiscard]] net::WifiLikeLink* wifi_uplink() { return wifi_uplink_.get(); }
 
-  // --- capture points (Fig. 2 ①②③③*④) ---
+  // --- capture points (Fig. 2 ①②③③*④); mutable ones take truth sinks ---
   [[nodiscard]] const net::CapturePoint& sender_capture() const { return *cap_sender_; }
   [[nodiscard]] const net::CapturePoint& core_capture() const { return *cap_core_; }
   [[nodiscard]] const net::CapturePoint& sfu_in_capture() const { return *cap_sfu_in_; }
   [[nodiscard]] const net::CapturePoint& sfu_out_capture() const { return *cap_sfu_out_; }
   [[nodiscard]] const net::CapturePoint& receiver_capture() const { return *cap_receiver_; }
+  [[nodiscard]] net::CapturePoint& sender_capture() { return *cap_sender_; }
+  [[nodiscard]] net::CapturePoint& core_capture() { return *cap_core_; }
+  [[nodiscard]] net::CapturePoint& sfu_in_capture() { return *cap_sfu_in_; }
+  [[nodiscard]] net::CapturePoint& sfu_out_capture() { return *cap_sfu_out_; }
+  [[nodiscard]] net::CapturePoint& receiver_capture() { return *cap_receiver_; }
 
   /// Assembles the Athena correlator's input, a view of the session's logs,
   /// estimating clock offsets the way the measurement pipeline would

@@ -30,8 +30,8 @@ std::optional<sim::Duration> ClockSync::OffsetFromMinOwd(const std::vector<OwdPa
   return sim::Duration{min_observed - min_path_delay.count()};
 }
 
-std::vector<ClockSync::OwdPair> ClockSync::JoinCaptures(
-    const std::vector<net::CaptureRecord>& a, const std::vector<net::CaptureRecord>& b) {
+std::vector<ClockSync::OwdPair> ClockSync::JoinCaptures(net::CaptureView a,
+                                                        net::CaptureView b) {
   std::unordered_map<net::PacketId, sim::TimePoint> b_by_id;
   b_by_id.reserve(b.size());
   for (const auto& r : b) b_by_id.emplace(r.packet_id, r.local_ts);

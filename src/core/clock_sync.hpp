@@ -44,8 +44,7 @@ class ClockSync {
 
   /// Joins two capture logs on packet id, yielding OwdPairs for packets
   /// seen at both points (in capture order of A).
-  [[nodiscard]] static std::vector<OwdPair> JoinCaptures(
-      const std::vector<net::CaptureRecord>& a, const std::vector<net::CaptureRecord>& b);
+  [[nodiscard]] static std::vector<OwdPair> JoinCaptures(net::CaptureView a, net::CaptureView b);
 };
 
 }  // namespace athena::core

@@ -52,7 +52,7 @@ struct Correlator::TbChain {
 namespace {
 
 struct PendingPacket {
-  const net::CaptureRecord* record = nullptr;
+  const net::CaptureRecord* record = nullptr;  ///< in the input's view; records never move
   sim::TimePoint sent_common;
   std::uint32_t remaining = 0;
   // Filled during the drain: this packet's chains, as a range of the
@@ -90,8 +90,8 @@ void FinalizeState(StreamHealth& h) {
 /// Joins a capture log into a packet_id → timestamp map, tolerating
 /// duplicates (first/earliest record wins) and reordering (counted; the
 /// map is order-free anyway).
-std::unordered_map<net::PacketId, sim::TimePoint> JoinById(
-    std::span<const net::CaptureRecord> records, StreamHealth& health) {
+std::unordered_map<net::PacketId, sim::TimePoint> JoinById(net::CaptureView records,
+                                                          StreamHealth& health) {
   std::unordered_map<net::PacketId, sim::TimePoint> by_id;
   by_id.reserve(records.size());
   sim::TimePoint prev;
@@ -362,9 +362,9 @@ CrossLayerDataset Correlator::Correlate(const CorrelatorInput& input) {
       r.packet_id = rec.packet_id;
       r.kind = rec.kind;
       r.size_bytes = rec.size_bytes;
-      if (rec.rtp) {
-        r.frame_id = rec.rtp->frame_id;
-        r.layer = rec.rtp->layer;
+      if (const net::RtpMeta* rtp = rec.rtp()) {
+        r.frame_id = rtp->frame_id;
+        r.layer = rtp->layer;
       }
       r.sent_at = pkt.sent_common;
 
@@ -442,8 +442,8 @@ CrossLayerDataset Correlator::Correlate(const CorrelatorInput& input) {
   std::vector<FrameScratch> frames;
   std::unordered_map<std::uint64_t, std::uint32_t> frame_index;
   for (std::size_t i = 0; i < packets.size(); ++i) {
-    const net::CaptureRecord& rec = *packets[i].record;
-    if (!rec.rtp) continue;
+    const net::RtpMeta* rtp = packets[i].record->rtp();
+    if (rtp == nullptr) continue;
     const CrossLayerRecord& r = out.packets[i];
     const auto [it, inserted] =
         frame_index.try_emplace(r.frame_id, static_cast<std::uint32_t>(frames.size()));
@@ -455,7 +455,7 @@ CrossLayerDataset Correlator::Correlate(const CorrelatorInput& input) {
       f.is_audio = r.kind == net::PacketKind::kRtpAudio;
       f.first_sent = r.sent_at;
       f.last_sent = r.sent_at;
-      s.expected = rec.rtp->packets_in_frame;
+      s.expected = rtp->packets_in_frame;
     }
     ++f.packets;
     f.first_sent = std::min(f.first_sent, r.sent_at);

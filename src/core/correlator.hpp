@@ -29,14 +29,16 @@
 namespace athena::core {
 
 /// A non-owning view of the logs to correlate; the builders point it at the
-/// logs their session, call or world cell holds. It is valid until that
-/// owner runs again or is destroyed. Code that mutates or keeps logs
-/// copies them into a CorrelatorLogs.
+/// logs their session, call or world cell holds. Each capture view stays valid
+/// until its capture point is cleared or destroyed, as capture blocks never
+/// move. `telemetry` points into a vector that grows, so the input as a whole
+/// is valid until its owner runs again or is destroyed. Code that mutates or
+/// keeps logs copies them into a CorrelatorLogs.
 struct CorrelatorInput {
   /// Capture logs (local clocks). `sender` is required; others optional.
-  std::span<const net::CaptureRecord> sender;
-  std::span<const net::CaptureRecord> core;
-  std::span<const net::CaptureRecord> receiver;
+  net::CaptureView sender;
+  net::CaptureView core;
+  net::CaptureView receiver;
 
   /// PHY telemetry for the measured UE's uplink.
   std::span<const ran::TbRecord> telemetry;
@@ -51,7 +53,8 @@ struct CorrelatorInput {
 };
 
 /// An owned copy of a view, for fault injection, the overload governor and
-/// checkpoints. It converts to a view from an lvalue only.
+/// checkpoints; its captures are copied chunk by chunk. It converts to a
+/// view, with one chunk per capture log, from an lvalue only.
 struct CorrelatorLogs {
   std::vector<net::CaptureRecord> sender;
   std::vector<net::CaptureRecord> core;
@@ -63,8 +66,7 @@ struct CorrelatorLogs {
 
   CorrelatorLogs() = default;
   explicit CorrelatorLogs(const CorrelatorInput& v)
-      : sender(v.sender.begin(), v.sender.end()), core(v.core.begin(), v.core.end()),
-        receiver(v.receiver.begin(), v.receiver.end()),
+      : sender(v.sender.ToVector()), core(v.core.ToVector()), receiver(v.receiver.ToVector()),
         telemetry(v.telemetry.begin(), v.telemetry.end()), sender_offset(v.sender_offset),
         receiver_offset(v.receiver_offset), cell(v.cell) {}
   operator CorrelatorInput() const& {

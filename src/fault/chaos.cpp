@@ -261,28 +261,29 @@ namespace {
 void ReplayIntoBank(const core::CorrelatorInput& input, obs::live::DetectorBank& bank) {
   struct Event {
     sim::TimePoint t;
-    bool is_tb = false;
-    std::size_t index = 0;
+    std::size_t index = 0;                        ///< position in its stream
+    const net::CaptureRecord* capture = nullptr;  ///< null for a TB
   };
   std::vector<Event> events;
   events.reserve(input.telemetry.size() + input.core.size());
   for (std::size_t i = 0; i < input.telemetry.size(); ++i) {
-    events.push_back({input.telemetry[i].slot_time, true, i});
+    events.push_back({input.telemetry[i].slot_time, i, nullptr});
   }
-  for (std::size_t i = 0; i < input.core.size(); ++i) {
-    if (input.core[i].icmp.has_value()) continue;
-    events.push_back({input.core[i].local_ts, false, i});
+  std::size_t index = 0;
+  for (const net::CaptureRecord& r : input.core) {
+    if (r.icmp() == nullptr) events.push_back({r.local_ts, index, &r});
+    ++index;
   }
   // TB before delivery on ties: a TB observed in the slot that delivered
   // a packet should not look like silence.
   std::sort(events.begin(), events.end(), [](const Event& a, const Event& b) {
     if (a.t != b.t) return a.t < b.t;
-    if (a.is_tb != b.is_tb) return a.is_tb;
+    if ((a.capture == nullptr) != (b.capture == nullptr)) return a.capture == nullptr;
     return a.index < b.index;
   });
 
   for (const Event& ev : events) {
-    if (ev.is_tb) {
+    if (ev.capture == nullptr) {
       const ran::TbRecord& tb = input.telemetry[ev.index];
       bank.OnTb({.slot_time = tb.slot_time,
                  .tbs_bytes = tb.tbs_bytes,
@@ -291,7 +292,7 @@ void ReplayIntoBank(const core::CorrelatorInput& input, obs::live::DetectorBank&
                  .crc_ok = tb.crc_ok,
                  .requested_grant = tb.grant == ran::GrantType::kRequested});
     } else {
-      const net::CaptureRecord& r = input.core[ev.index];
+      const net::CaptureRecord& r = *ev.capture;
       bank.OnDelivery({.packet_id = r.packet_id,
                        .enqueued_at = r.local_ts,
                        .delivered_at = r.local_ts,

@@ -212,7 +212,7 @@ void FaultInjector::Apply(Stream stream, std::vector<net::CaptureRecord>& record
             break;
           case 1:
             r.kind = net::PacketKind::kGeneric;
-            r.rtp.reset();
+            if (r.rtp() != nullptr) r.meta = std::monostate{};
             break;
           default:
             // A mangled id breaks the L3 joins for this record only.
@@ -290,7 +290,7 @@ net::PacketHandler FaultInjector::Wrap(sim::Simulator& sim, net::PacketHandler n
 // InputDigest — FNV-1a over every field the correlator consumes.
 // ---------------------------------------------------------------------------
 
-void InputDigest::Mix(std::span<const net::CaptureRecord> records) {
+void InputDigest::Mix(net::CaptureView records) {
   Mix(records.size());
   for (const auto& r : records) {
     Mix(r.packet_id);
@@ -298,7 +298,7 @@ void InputDigest::Mix(std::span<const net::CaptureRecord> records) {
     Mix(static_cast<std::uint64_t>(r.kind));
     Mix(r.size_bytes);
     Mix(r.flow);
-    Mix(r.rtp.has_value() ? r.rtp->frame_id + 1 : 0u);
+    Mix(r.rtp() != nullptr ? r.rtp()->frame_id + 1 : 0u);
   }
 }
 

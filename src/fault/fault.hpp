@@ -172,8 +172,8 @@ class FaultInjector {
 
   /// Impairs a telemetry vector in place (timestamp field: slot_time).
   void Apply(Stream stream, std::vector<ran::TbRecord>& records);
-  /// Impairs a capture log in place (timestamp field: local_ts; the
-  /// ground-truth true_ts is deliberately left pristine).
+  /// Impairs a capture log in place (timestamp field: local_ts; ground
+  /// truth never enters a capture record, so none can be touched).
   void Apply(Stream stream, std::vector<net::CaptureRecord>& records);
 
   /// Wraps a live packet handler: drop / duplicate / bounded-reorder /
@@ -207,7 +207,7 @@ class InputDigest {
  public:
   void Mix(std::uint64_t v) { state_.Mix(v); }
   void Mix(std::span<const ran::TbRecord> records) { state_.Mix(records); }
-  void Mix(std::span<const net::CaptureRecord> records);
+  void Mix(net::CaptureView records);
 
   [[nodiscard]] std::uint64_t value() const { return state_.value(); }
 

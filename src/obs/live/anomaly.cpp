@@ -55,21 +55,22 @@ void WriteJson(std::ostream& os, const AnomalyEvent& e) {
   os << "}}";
 }
 
-EventLog::EventLog(std::size_t capacity) : ring_(capacity == 0 ? 1 : capacity) {}
+EventLog::EventLog(std::size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {}
 
 void EventLog::PushAnomaly(const AnomalyEvent& event) {
-  ring_[head_] = event;
-  head_ = (head_ + 1) % ring_.size();
-  if (size_ < ring_.size()) ++size_;
+  if (ring_.size() < capacity_) ring_.push_back(event);
+  else ring_[head_] = event;
+  head_ = (head_ + 1) % capacity_;
+  if (size_ < capacity_) ++size_;
   ++pushed_;
 }
 
 std::vector<const AnomalyEvent*> EventLog::Ordered() const {
   std::vector<const AnomalyEvent*> out;
   out.reserve(size_);
-  const std::size_t start = (head_ + ring_.size() - size_) % ring_.size();
+  const std::size_t start = (head_ + capacity_ - size_) % capacity_;
   for (std::size_t i = 0; i < size_; ++i) {
-    out.push_back(&ring_[(start + i) % ring_.size()]);
+    out.push_back(&ring_[(start + i) % capacity_]);
   }
   return out;
 }

@@ -78,7 +78,7 @@ class EventLog {
   [[nodiscard]] std::vector<const AnomalyEvent*> Ordered() const;
 
   [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] std::size_t capacity() const { return ring_.size(); }
+  [[nodiscard]] std::size_t capacity() const { return capacity_; }
   [[nodiscard]] std::uint64_t total_pushed() const { return pushed_; }
   [[nodiscard]] std::uint64_t dropped_count() const {
     return pushed_ - static_cast<std::uint64_t>(size_);
@@ -88,8 +88,9 @@ class EventLog {
   void WriteJsonl(std::ostream& os) const;
 
  private:
-  std::vector<AnomalyEvent> ring_;
-  std::size_t head_ = 0;  ///< next write position
+  std::size_t capacity_;
+  std::vector<AnomalyEvent> ring_;  ///< grows to capacity_, so setup writes none of it
+  std::size_t head_ = 0;            ///< next write position
   std::size_t size_ = 0;
   std::uint64_t pushed_ = 0;
 };

@@ -31,7 +31,7 @@ void StateDigest::Mix(std::span<const ran::TbRecord> records) {
   }
 }
 
-void StateDigest::Mix(std::span<const net::CaptureRecord> records) {
+void StateDigest::Mix(net::CaptureView records) {
   Mix(records.size());
   for (const auto& r : records) {
     Mix(r.packet_id);
@@ -39,8 +39,8 @@ void StateDigest::Mix(std::span<const net::CaptureRecord> records) {
     Mix(static_cast<std::uint64_t>(r.kind));
     Mix(r.size_bytes);
     Mix(r.flow);
-    Mix(r.rtp.has_value() ? r.rtp->frame_id + 1 : 0u);
-    Mix(r.icmp.has_value() ? r.icmp->probe_seq + 1 : 0u);
+    Mix(r.rtp() != nullptr ? r.rtp()->frame_id + 1 : 0u);
+    Mix(r.icmp() != nullptr ? r.icmp()->probe_seq + 1 : 0u);
   }
 }
 
@@ -138,34 +138,31 @@ ran::TbRecord ReadTb(sim::ByteReader<CheckpointError>& r) {
   return tb;
 }
 
-// WriteCapture's bytes: a record without its optional metadata, plus each block it carries.
-constexpr std::size_t kMinCaptureBytes = 8 + 8 + 8 + 1 + 4 + 4 + 1 + 1;
+// WriteCapture's bytes: a record with its one-byte metadata tag, plus the metadata.
+constexpr std::size_t kMinCaptureBytes = 8 + 8 + 1 + 4 + 4 + 1;
 constexpr std::size_t kRtpBytes = 4 + 2 + 4 + 1 + 1 + 8 + 2 + 4 + 4;
 constexpr std::size_t kIcmpBytes = 4 + 8;
 
 void WriteCapture(sim::ByteWriter& w, const net::CaptureRecord& r) {
   w.U64(r.packet_id);
   w.I64(r.local_ts.us());
-  w.I64(r.true_ts.us());
   w.U8(static_cast<std::uint8_t>(r.kind));
   w.U32(r.size_bytes);
   w.U32(r.flow);
-  w.U8(r.rtp.has_value() ? 1 : 0);
-  if (r.rtp.has_value()) {
-    w.U32(r.rtp->ssrc);
-    w.U16(r.rtp->seq);
-    w.U32(r.rtp->media_ts);
-    w.U8(r.rtp->marker ? 1 : 0);
-    w.U8(static_cast<std::uint8_t>(r.rtp->layer));
-    w.U64(r.rtp->frame_id);
-    w.U16(r.rtp->transport_seq);
-    w.U32(r.rtp->packets_in_frame);
-    w.U32(r.rtp->packet_index_in_frame);
-  }
-  w.U8(r.icmp.has_value() ? 1 : 0);
-  if (r.icmp.has_value()) {
-    w.U32(r.icmp->probe_seq);
-    w.I64(r.icmp->echo_sent_at.us());
+  w.U8(static_cast<std::uint8_t>(r.meta.index()));
+  if (const net::RtpMeta* rtp = r.rtp()) {
+    w.U32(rtp->ssrc);
+    w.U16(rtp->seq);
+    w.U32(rtp->media_ts);
+    w.U8(rtp->marker ? 1 : 0);
+    w.U8(static_cast<std::uint8_t>(rtp->layer));
+    w.U64(rtp->frame_id);
+    w.U16(rtp->transport_seq);
+    w.U32(rtp->packets_in_frame);
+    w.U32(rtp->packet_index_in_frame);
+  } else if (const net::IcmpMeta* icmp = r.icmp()) {
+    w.U32(icmp->probe_seq);
+    w.I64(icmp->echo_sent_at.us());
   }
 }
 
@@ -173,12 +170,11 @@ net::CaptureRecord ReadCapture(sim::ByteReader<CheckpointError>& r) {
   net::CaptureRecord c;
   c.packet_id = r.U64();
   c.local_ts = sim::TimePoint{sim::Duration{r.I64()}};
-  c.true_ts = sim::TimePoint{sim::Duration{r.I64()}};
   c.kind = static_cast<net::PacketKind>(r.U8());
   c.size_bytes = r.U32();
   c.flow = r.U32();
-  if (r.U8() != 0) {
-    net::RtpMeta rtp;
+  if (const std::uint8_t tag = r.U8(); tag == 1) {
+    auto& rtp = c.meta.emplace<net::RtpMeta>();
     rtp.ssrc = r.U32();
     rtp.seq = r.U16();
     rtp.media_ts = r.U32();
@@ -188,13 +184,12 @@ net::CaptureRecord ReadCapture(sim::ByteReader<CheckpointError>& r) {
     rtp.transport_seq = r.U16();
     rtp.packets_in_frame = r.U32();
     rtp.packet_index_in_frame = r.U32();
-    c.rtp = rtp;
-  }
-  if (r.U8() != 0) {
-    net::IcmpMeta icmp;
+  } else if (tag == 2) {
+    auto& icmp = c.meta.emplace<net::IcmpMeta>();
     icmp.probe_seq = r.U32();
     icmp.echo_sent_at = sim::TimePoint{sim::Duration{r.I64()}};
-    c.icmp = icmp;
+  } else if (tag != 0) {
+    throw CheckpointError("checkpoint corrupted: unknown capture metadata tag");
   }
   return c;
 }
@@ -228,7 +223,7 @@ std::size_t Checkpoint::SerializedBytes() const {
   std::size_t bytes = kHeaderBytes + input.telemetry.size() * kTbBytes + 8;
   for (const auto* stream : {&input.sender, &input.core, &input.receiver}) {
     for (const net::CaptureRecord& r : *stream) {
-      bytes += kMinCaptureBytes + (r.rtp ? kRtpBytes : 0) + (r.icmp ? kIcmpBytes : 0);
+      bytes += kMinCaptureBytes + (r.rtp() ? kRtpBytes : 0) + (r.icmp() ? kIcmpBytes : 0);
     }
   }
   return bytes;

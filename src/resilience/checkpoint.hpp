@@ -58,7 +58,7 @@ class StateDigest {
   void Mix(std::uint64_t v) { fnv_.MixU64(v); }
   void Mix(std::string_view s);
   void Mix(std::span<const ran::TbRecord> records);
-  void Mix(std::span<const net::CaptureRecord> records);
+  void Mix(net::CaptureView records);
   void Mix(const core::CorrelatorInput& input);
   /// The radio knobs both config fingerprints cover, in one fixed order.
   void Mix(const ran::RanConfig& cell, const ran::ChannelModel::Config& channel);
@@ -76,7 +76,9 @@ class StateDigest {
 
 /// One snapshot of a session at a virtual-time boundary.
 struct Checkpoint {
-  static constexpr std::uint32_t kVersion = 1;
+  /// Version 2 dropped each capture record's ground-truth time, and keeps
+  /// one tag for its RTP or ICMP metadata; a version-1 frame is refused.
+  static constexpr std::uint32_t kVersion = 2;
 
   // --- identity ---
   std::uint64_t config_fingerprint = 0;

@@ -62,8 +62,13 @@ struct ShedStats {
   void PublishMetrics() const;
 };
 
-/// Approximate resident bytes of the logs a view reads (records × record
-/// size; the governor's accounting unit), though the view owns none.
+/// The governor's charge per capture record: the record's 112-B size before
+/// it shrank to 80 B, so budgets shed what they shed before. Changing it
+/// re-baselines the chaos matrix.
+inline constexpr std::size_t kCaptureRecordCharge = 112;
+
+/// Approximate resident bytes of the logs a view reads (TB records × their
+/// size, capture records × kCaptureRecordCharge), though the view owns none.
 [[nodiscard]] std::size_t InputBytes(const core::CorrelatorInput& input);
 
 /// Enforces `budget.input_bytes` on an owned copy in the priority order

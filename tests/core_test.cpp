@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "app/session.hpp"
+#include "capture_records.hpp"
 #include "core/analyzer.hpp"
 #include "core/clock_sync.hpp"
 #include "core/correlator.hpp"
@@ -72,10 +73,10 @@ TEST(ClockSyncTest, MinOwdOffset) {
 }
 
 TEST(ClockSyncTest, JoinCapturesMatchesByPacketId) {
-  net::CaptureRecord a1{.packet_id = 1, .local_ts = kEpoch + 1ms};
-  net::CaptureRecord a2{.packet_id = 2, .local_ts = kEpoch + 2ms};
-  net::CaptureRecord b1{.packet_id = 1, .local_ts = kEpoch + 11ms};
-  const auto pairs = ClockSync::JoinCaptures({a1, a2}, {b1});
+  const std::vector<net::CaptureRecord> a = {MakeCapture(1, kEpoch + 1ms),
+                                             MakeCapture(2, kEpoch + 2ms)};
+  const std::vector<net::CaptureRecord> b = {MakeCapture(1, kEpoch + 11ms)};
+  const auto pairs = ClockSync::JoinCaptures(a, b);
   ASSERT_EQ(pairs.size(), 1u);
   EXPECT_EQ(pairs[0].a_ts, kEpoch + 1ms);
   EXPECT_EQ(pairs[0].b_ts, kEpoch + 11ms);
@@ -88,17 +89,11 @@ class CorrelatorSyntheticTest : public ::testing::Test {
   net::CaptureRecord SenderRecord(net::PacketId id, sim::TimePoint ts, std::uint32_t size,
                                   std::uint64_t frame_id = 0,
                                   net::PacketKind kind = net::PacketKind::kRtpVideo) {
-    net::CaptureRecord r;
-    r.packet_id = id;
-    r.local_ts = ts;
-    r.true_ts = ts;
-    r.kind = kind;
-    r.size_bytes = size;
-    r.rtp = net::RtpMeta{.layer = net::SvcLayer::kBase,
-                         .frame_id = frame_id,
-                         .packets_in_frame = 1,
-                         .packet_index_in_frame = 0};
-    return r;
+    return MakeCapture(id, ts, size, kind,
+                       net::RtpMeta{.layer = net::SvcLayer::kBase,
+                                    .frame_id = frame_id,
+                                    .packets_in_frame = 1,
+                                    .packet_index_in_frame = 0});
   }
 
   ran::TbRecord Tb(ran::TbId id, sim::TimePoint slot, std::uint32_t tbs, std::uint32_t used,
@@ -117,7 +112,7 @@ class CorrelatorSyntheticTest : public ::testing::Test {
 TEST_F(CorrelatorSyntheticTest, SinglePacketSingleTb) {
   CorrelatorLogs input;
   input.sender = {SenderRecord(1, kEpoch + 1ms, 1000)};
-  input.core = {{.packet_id = 1, .local_ts = kEpoch + 3500us}};
+  input.core = {MakeCapture(1, kEpoch + 3500us)};
   input.telemetry = {Tb(1, kEpoch + 2500us, 2500, 1000)};
   const auto data = Correlator::Correlate(input);
   ASSERT_EQ(data.packets.size(), 1u);
@@ -135,7 +130,7 @@ TEST_F(CorrelatorSyntheticTest, SinglePacketSingleTb) {
 TEST_F(CorrelatorSyntheticTest, PacketSpanningTwoTbs) {
   CorrelatorLogs input;
   input.sender = {SenderRecord(1, kEpoch + 1ms, 3000, 11)};
-  input.core = {{.packet_id = 1, .local_ts = kEpoch + 6ms}};
+  input.core = {MakeCapture(1, kEpoch + 6ms)};
   input.telemetry = {Tb(1, kEpoch + 2500us, 2500, 2500), Tb(2, kEpoch + 5000us, 2500, 500)};
   const auto data = Correlator::Correlate(input);
   ASSERT_EQ(data.packets.size(), 1u);
@@ -147,7 +142,7 @@ TEST_F(CorrelatorSyntheticTest, PacketSpanningTwoTbs) {
 TEST_F(CorrelatorSyntheticTest, RtxInflationMeasured) {
   CorrelatorLogs input;
   input.sender = {SenderRecord(1, kEpoch + 1ms, 1000)};
-  input.core = {{.packet_id = 1, .local_ts = kEpoch + 13'500us}};
+  input.core = {MakeCapture(1, kEpoch + 13'500us)};
   // First transmission fails, retransmission at +10 ms succeeds.
   input.telemetry = {Tb(1, kEpoch + 2500us, 2500, 1000, /*crc_ok=*/false),
                      Tb(2, kEpoch + 12'500us, 2500, 1000, true, /*round=*/1, /*chain=*/1)};
@@ -176,7 +171,7 @@ TEST_F(CorrelatorSyntheticTest, ClockOffsetIsApplied) {
   CorrelatorLogs input;
   input.sender = {SenderRecord(1, kEpoch + 3ms, 1000)};  // sender clock +2 ms
   input.sender_offset = -2ms;
-  input.core = {{.packet_id = 1, .local_ts = kEpoch + 3500us}};
+  input.core = {MakeCapture(1, kEpoch + 3500us)};
   input.telemetry = {Tb(1, kEpoch + 2500us, 2500, 1000)};
   const auto data = Correlator::Correlate(input);
   EXPECT_EQ(data.packets[0].sent_at, kEpoch + 1ms);
@@ -203,13 +198,12 @@ TEST_F(CorrelatorSyntheticTest, FrameAggregation) {
   CorrelatorLogs input;
   auto p1 = SenderRecord(1, kEpoch + 1ms, 1000, 5);
   auto p2 = SenderRecord(2, kEpoch + 1100us, 1000, 5);
-  p1.rtp->packets_in_frame = 2;
-  p1.rtp->packet_index_in_frame = 0;
-  p2.rtp->packets_in_frame = 2;
-  p2.rtp->packet_index_in_frame = 1;
+  std::get<net::RtpMeta>(p1.meta).packets_in_frame = 2;
+  std::get<net::RtpMeta>(p2.meta).packets_in_frame = 2;
+  std::get<net::RtpMeta>(p2.meta).packet_index_in_frame = 1;
   input.sender = {p1, p2};
-  input.core = {{.packet_id = 1, .local_ts = kEpoch + 3500us},
-                {.packet_id = 2, .local_ts = kEpoch + 6000us}};
+  input.core = {MakeCapture(1, kEpoch + 3500us),
+                MakeCapture(2, kEpoch + 6000us)};
   input.telemetry = {Tb(1, kEpoch + 2500us, 2500, 1000), Tb(2, kEpoch + 5000us, 2500, 1000)};
   const auto data = Correlator::Correlate(input);
   ASSERT_EQ(data.frames.size(), 1u);
@@ -224,9 +218,9 @@ TEST_F(CorrelatorSyntheticTest, FrameAggregation) {
 TEST_F(CorrelatorSyntheticTest, IncompleteFrameFlagged) {
   CorrelatorLogs input;
   auto p1 = SenderRecord(1, kEpoch + 1ms, 1000, 5);
-  p1.rtp->packets_in_frame = 2;
+  std::get<net::RtpMeta>(p1.meta).packets_in_frame = 2;
   input.sender = {p1};
-  input.core = {{.packet_id = 1, .local_ts = kEpoch + 3500us}};
+  input.core = {MakeCapture(1, kEpoch + 3500us)};
   input.telemetry = {Tb(1, kEpoch + 2500us, 2500, 1000)};
   const auto data = Correlator::Correlate(input);
   ASSERT_EQ(data.frames.size(), 1u);
@@ -267,10 +261,7 @@ TEST_F(CorrelatorSyntheticTest, GapWindowBoundariesCapConfidence) {
   // arrival, long after the last TB, makes a truncated tail.
   net::PacketId core_id = 1'000'000;
   const auto core_arrival = [&](sim::TimePoint t) {
-    net::CaptureRecord r;
-    r.packet_id = ++core_id;
-    r.local_ts = t;
-    input.core.push_back(r);
+    input.core.push_back(MakeCapture(++core_id, t));
   };
   std::vector<std::pair<sim::TimePoint, sim::TimePoint>> windows;
   for (const auto& [a, b] : spells) {
@@ -347,13 +338,15 @@ TEST_F(CorrelatorEndToEndTest, ByteConservationHolds) {
 TEST_F(CorrelatorEndToEndTest, UplinkOwdMatchesGroundTruthWithin1ms) {
   app::SessionConfig config;
   config.sender_clock_offset = 1500us;  // must be estimated away
-  Run(config);
-  const auto& sender_records = session_->sender_capture().records();
-  const auto& core_records = session_->core_capture().records();
   std::unordered_map<net::PacketId, sim::TimePoint> true_send;
-  for (const auto& r : sender_records) true_send[r.packet_id] = r.true_ts;
   std::unordered_map<net::PacketId, sim::TimePoint> true_core;
-  for (const auto& r : core_records) true_core[r.packet_id] = r.true_ts;
+  const auto truth_into = [](auto& true_ts) {
+    return [&true_ts](const net::CaptureRecord& r, sim::TimePoint t) { true_ts[r.packet_id] = t; };
+  };
+  Run(config, 10s, [&](app::Session& session) {
+    session.sender_capture().set_truth_sink(truth_into(true_send));
+    session.core_capture().set_truth_sink(truth_into(true_core));
+  });
 
   std::size_t checked = 0;
   for (const auto& p : dataset_.packets) {

@@ -314,7 +314,13 @@ AnomalyEvent MakeAnomaly(double at_ms, double confidence) {
 
 TEST(EventLog, RingOverwritesOldestAndCountsDrops) {
   EventLog log{4};
-  for (int i = 0; i < 10; ++i) {
+  for (int i = 0; i < 3; ++i) log.PushAnomaly(MakeAnomaly(static_cast<double>(i), 0.5));
+  // Before it fills, the ring holds what arrived, oldest first.
+  EXPECT_EQ(log.capacity(), 4u);
+  ASSERT_EQ(log.Ordered().size(), 3u);
+  EXPECT_EQ(log.Ordered().front()->window_end, At(0.0));
+  EXPECT_EQ(log.Ordered().back()->window_end, At(2.0));
+  for (int i = 3; i < 10; ++i) {
     log.PushAnomaly(MakeAnomaly(static_cast<double>(i), 0.5));
   }
   EXPECT_EQ(log.size(), 4u);

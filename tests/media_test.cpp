@@ -109,7 +109,9 @@ TEST(EModelTest, MosMonotoneInDelayAndLoss) {
   for (const double d : {20.0, 100.0, 200.0, 400.0, 800.0}) {
     const double mos = model.Mos(d, 0.0);
     EXPECT_LE(mos, prev);     // weakly monotone everywhere...
-    if (d > 100.0) EXPECT_LT(mos, prev);  // ...strictly past the Id knee
+    if (d > 100.0) {
+      EXPECT_LT(mos, prev);  // ...strictly past the Id knee
+    }
     prev = mos;
   }
   prev = 5.0;

@@ -1,4 +1,8 @@
+#include <algorithm>
 #include <chrono>
+#include <iterator>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -76,22 +80,47 @@ TEST(CapturePointTest, RecordsAndForwards) {
   sim::Simulator sim;
   CapturePoint cap{sim, "tap"};
   int forwarded = 0;
+  sim::TimePoint true_ts;
   cap.set_sink([&](const Packet&) { ++forwarded; });
+  cap.set_truth_sink([&](const CaptureRecord&, sim::TimePoint t) { true_ts = t; });
   sim.ScheduleAfter(5ms, [&] { cap.OnPacket(MakePacket(1)); });
   sim.RunAll();
   EXPECT_EQ(forwarded, 1);
   ASSERT_EQ(cap.count(), 1u);
-  EXPECT_EQ(cap.records()[0].packet_id, 1u);
-  EXPECT_EQ(cap.records()[0].true_ts, kEpoch + 5ms);
+  EXPECT_EQ(cap.records().begin()->packet_id, 1u);
+  EXPECT_EQ(true_ts, kEpoch + 5ms);
 }
 
 TEST(CapturePointTest, LocalTimestampUsesHostClock) {
   sim::Simulator sim;
   CapturePoint cap{sim, "tap", HostClock{1ms, 0.0}};
+  sim::TimePoint true_ts;
+  cap.set_truth_sink([&](const CaptureRecord&, sim::TimePoint t) { true_ts = t; });
   sim.ScheduleAfter(5ms, [&] { cap.OnPacket(MakePacket(1)); });
   sim.RunAll();
-  EXPECT_EQ(cap.records()[0].local_ts, kEpoch + 6ms);
-  EXPECT_EQ(cap.records()[0].true_ts, kEpoch + 5ms);
+  EXPECT_EQ(cap.records().begin()->local_ts, kEpoch + 6ms);
+  EXPECT_EQ(true_ts, kEpoch + 5ms);
+}
+
+TEST(CapturePointTest, TruthSinkReceivesEveryTrueTime) {
+  sim::Simulator sim;
+  CapturePoint cap{sim, "tap", HostClock{1ms, 0.0}};
+  std::vector<std::pair<const CaptureRecord*, sim::TimePoint>> truth;
+  cap.set_truth_sink(
+      [&](const CaptureRecord& r, sim::TimePoint t) { truth.emplace_back(&r, t); });
+  for (int id = 1; id <= 300; ++id) {
+    sim.ScheduleAfter(id * 5ms, [&cap, id] { cap.OnPacket(MakePacket(id)); });
+  }
+  sim.RunAll();
+  ASSERT_EQ(truth.size(), 300u);
+  std::size_t i = 0;
+  for (const CaptureRecord& r : cap.records()) {
+    // The sink saw the stored record itself, at its true capture time.
+    EXPECT_EQ(truth[i].first, &r);
+    EXPECT_EQ(truth[i].second, kEpoch + static_cast<int>(r.packet_id) * 5ms);
+    EXPECT_EQ(r.local_ts, truth[i].second + 1ms);
+    ++i;
+  }
 }
 
 TEST(CapturePointTest, CopiesRtpMetadata) {
@@ -100,8 +129,58 @@ TEST(CapturePointTest, CopiesRtpMetadata) {
   Packet p = MakePacket(1, 1200, PacketKind::kRtpVideo);
   p.rtp = RtpMeta{.frame_id = 77, .transport_seq = 5};
   cap.OnPacket(p);
-  ASSERT_TRUE(cap.records()[0].rtp.has_value());
-  EXPECT_EQ(cap.records()[0].rtp->frame_id, 77u);
+  ASSERT_NE(cap.records().begin()->rtp(), nullptr);
+  EXPECT_EQ(cap.records().begin()->rtp()->frame_id, 77u);
+  EXPECT_EQ(cap.records().begin()->icmp(), nullptr);
+}
+
+// A view, and the records it reads, stay where they are while the log
+// grows: no capture ever moves a record.
+TEST(CapturePointTest, ViewsAndRecordsStayPutAsTheLogGrows) {
+  sim::Simulator sim;
+  CapturePoint cap{sim, "tap"};
+  constexpr PacketId kN = 1000;  // ends inside the fifth block
+  for (PacketId id = 0; id < kN; ++id) cap.OnPacket(MakePacket(id));
+  const CaptureView view = cap.records();
+  const CaptureRecord* last = &*std::next(view.begin(), kN - 1);
+  std::vector<CaptureView::Chunk> before;
+  view.ForEachChunk([&](CaptureView::Chunk c) { before.push_back(c); });
+
+  for (PacketId id = kN; id < 11 * kN; ++id) cap.OnPacket(MakePacket(id));
+  ASSERT_EQ(view.size(), kN);
+  PacketId id = 0;
+  for (const CaptureRecord& r : view) EXPECT_EQ(r.packet_id, id++);
+  EXPECT_EQ(id, kN);
+  EXPECT_EQ(last->packet_id, kN - 1);
+
+  std::vector<CaptureView::Chunk> after;
+  cap.records().ForEachChunk([&](CaptureView::Chunk c) { after.push_back(c); });
+  ASSERT_GT(after.size(), before.size());
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(after[i].data(), before[i].data());
+    EXPECT_GE(after[i].size(), before[i].size());
+  }
+  EXPECT_EQ(&*std::next(cap.records().begin(), kN - 1), last);
+}
+
+// Blocks double from kFirstBlock to kMaxBlock and only the newest one has
+// free slots, so a log's unused capacity stays below one block.
+TEST(CapturePointTest, UnusedCapacityStaysBelowOneBlock) {
+  sim::Simulator sim;
+  CapturePoint cap{sim, "tap"};
+  EXPECT_EQ(cap.capacity(), 0u);  // nothing is allocated before a packet
+  std::size_t block = CapturePoint::kFirstBlock;
+  std::size_t filled = 0;  // records in full blocks
+  for (PacketId id = 0; id < 60'000; ++id) {
+    cap.OnPacket(MakePacket(id));
+    if (cap.count() - filled > block) {
+      filled += block;
+      block = std::min(2 * block, CapturePoint::kMaxBlock);
+    }
+    ASSERT_EQ(cap.capacity(), filled + block) << cap.count() << " records";
+    ASSERT_LT(cap.capacity() - cap.count(), block);
+  }
+  EXPECT_EQ(block, CapturePoint::kMaxBlock);
 }
 
 TEST(CapturePointTest, ClearEmptiesLog) {

@@ -358,7 +358,7 @@ TEST(Obs, DisabledObservabilityChangesNothing) {
       std::vector<net::CaptureRecord> core_records;
     };
     return Result{sim.events_executed(),
-                  std::vector<net::CaptureRecord>(session.core_capture().records())};
+                  session.core_capture().records().ToVector()};
   };
 
   const auto plain = RunOnce(false);

@@ -119,7 +119,9 @@ TEST_P(RtxArithmeticProperty, InflationIsMultipleOfRtxDelay) {
       if (tb.harq_round > 0) ++rtx_chains;
     }
   }
-  if (bler >= 0.2) EXPECT_GT(rtx_chains, 0u);
+  if (bler >= 0.2) {
+    EXPECT_GT(rtx_chains, 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(BlerSweep, RtxArithmeticProperty,

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdint>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include "resilience/checkpoint.hpp"
 #include "resilience/overload.hpp"
 #include "resilience/supervisor.hpp"
+#include "sim/bytes.hpp"
 #include "sim/check.hpp"
 #include "sim/runner.hpp"
 #include "sim/simulator.hpp"
@@ -137,7 +139,7 @@ class CheckpointSerializationTest : public ::testing::Test {
     net::CaptureRecord probe = plain_record;
     probe.packet_id += 1;
     probe.kind = net::PacketKind::kIcmpEcho;
-    probe.icmp = net::IcmpMeta{.probe_seq = 7, .echo_sent_at = probe.local_ts};
+    probe.meta = net::IcmpMeta{.probe_seq = 7, .echo_sent_at = probe.local_ts};
     stored_ = latest_;
     stored_.input.core.push_back(plain_record);
     stored_.input.receiver.push_back(probe);
@@ -148,9 +150,9 @@ class CheckpointSerializationTest : public ::testing::Test {
     for (const auto* stream :
          {&stored_.input.sender, &stored_.input.core, &stored_.input.receiver}) {
       for (const net::CaptureRecord& r : *stream) {
-        plain += !r.rtp && !r.icmp ? 1 : 0;
-        rtp += r.rtp ? 1 : 0;
-        icmp += r.icmp ? 1 : 0;
+        plain += std::holds_alternative<std::monostate>(r.meta) ? 1 : 0;
+        rtp += r.rtp() != nullptr ? 1 : 0;
+        icmp += r.icmp() != nullptr ? 1 : 0;
       }
     }
     ASSERT_GT(plain, 0u);
@@ -221,6 +223,23 @@ TEST_F(CheckpointSerializationTest, RejectsTrailingGarbage) {
   padded.push_back(0);
   EXPECT_THROW((void)Checkpoint::Deserialize(padded.data(), padded.size()),
                CheckpointError);
+}
+
+TEST_F(CheckpointSerializationTest, RefusesAVersion1Frame) {
+  // A sealed frame that says version 1, the format whose captures kept
+  // their ground-truth time: it is refused for its version, not for its
+  // checksum.
+  std::vector<std::uint8_t> v1(bytes_.begin(), bytes_.end() - 8);
+  ASSERT_EQ(v1[8], Checkpoint::kVersion);  // the u32 after the magic
+  v1[8] = 1;
+  sim::ByteWriter{v1}.SealFrame();
+  try {
+    (void)Checkpoint::Deserialize(v1.data(), v1.size());
+    ADD_FAILURE() << "a version-1 checkpoint was accepted";
+  } catch (const CheckpointError& e) {
+    EXPECT_NE(std::string{e.what()}.find("unsupported version 1"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST_F(CheckpointSerializationTest, RefusesToResumeUnderADifferentPlan) {
@@ -334,14 +353,23 @@ core::CorrelatorLogs MakeOverloadInput() {
     r.local_ts = kEpoch + i * 1ms;
     r.size_bytes = 1200;
     if (i >= 100) {  // last 50 are ICMP probes
-      r.icmp = net::IcmpMeta{.probe_seq = static_cast<std::uint32_t>(i),
+      r.meta = net::IcmpMeta{.probe_seq = static_cast<std::uint32_t>(i),
                              .echo_sent_at = r.local_ts};
     } else {
-      r.rtp = net::RtpMeta{.seq = static_cast<std::uint16_t>(i)};
+      r.meta = net::RtpMeta{.seq = static_cast<std::uint16_t>(i)};
     }
     input.core.push_back(r);
   }
   return input;
+}
+
+// The governor charges each capture record a fixed 112 B, whatever the
+// record's in-memory size, so a budget sheds the same records as ever.
+TEST(OverloadGovernorTest, ChargesEachCaptureRecordAFixedUnit) {
+  const core::CorrelatorLogs input = MakeOverloadInput();
+  EXPECT_EQ(resilience::kCaptureRecordCharge, 112u);
+  EXPECT_EQ(resilience::InputBytes(input),
+            150 * sizeof(ran::TbRecord) + 150 * resilience::kCaptureRecordCharge);
 }
 
 TEST(OverloadGovernorTest, UnboundedBudgetShedsNothing) {
@@ -354,7 +382,7 @@ TEST(OverloadGovernorTest, UnboundedBudgetShedsNothing) {
 
 TEST(OverloadGovernorTest, ShedsIcmpBeforeTouchingData) {
   core::CorrelatorLogs input = MakeOverloadInput();
-  const std::size_t icmp_bytes = 50 * sizeof(net::CaptureRecord);
+  const std::size_t icmp_bytes = 50 * resilience::kCaptureRecordCharge;
   MemoryBudget budget;
   budget.input_bytes = resilience::InputBytes(input) - icmp_bytes / 2;
   const resilience::ShedStats stats = BoundInput(input, budget);

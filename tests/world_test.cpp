@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "capture_records.hpp"
 #include "fault/world_chaos.hpp"
 #include "sim/check.hpp"
 #include "world/engine.hpp"
@@ -150,15 +151,22 @@ TEST(WorldEngineTest, FleetReportCoversThePopulation) {
 }
 
 // A UE's correlator input reads the telemetry span it is given (the
-// serving cell's log in the fan-out) instead of copying it.
+// serving cell's log in the fan-out) and its own capture blocks instead
+// of copying them: two inputs read the same chunks.
 TEST(UeSessionTest, CorrelatorInputReadsTheGivenTelemetry) {
   sim::Simulator sim;
   UeSession session{sim, UeSession::Config{}, [](WorldMsg&&) {}};
+  session.Start();
+  sim.RunFor(std::chrono::seconds{1});
   const std::vector<ran::TbRecord> telemetry(3);
-  const core::CorrelatorInput input =
-      session.BuildCorrelatorInput(telemetry, ran::RanConfig::PaperCell());
+  const auto build = [&] {
+    return session.BuildCorrelatorInput(telemetry, ran::RanConfig::PaperCell());
+  };
+  const core::CorrelatorInput input = build();
   EXPECT_EQ(input.telemetry.data(), telemetry.data());
   EXPECT_EQ(input.telemetry.size(), telemetry.size());
+  ExpectAliases(input.sender, build().sender);
+  EXPECT_GT(ChunksOf(input.sender).size(), 1u);
 }
 
 TEST(WorldValidationTest, RejectsUnbuildableWorlds) {
